@@ -6,9 +6,10 @@ Subcommands:
   stats OUTCOMES_FILE   re-summarize a previous batch without rerunning
 
 Global flags pick the corpus, the fixture directory (offline clients),
-the output directory, the mode, parallelism, and JSON output. Exit codes:
-0 success, 2 the requested generation failed, 1 usage or configuration
-error.
+the output directory, the mode, and JSON output. A batch runs its
+records one after another on one set of clients, so the registry tag
+list and each CVE are fetched once per run. Exit codes: 0 success, 2
+the requested generation failed, 1 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory for bundles")
     parser.add_argument("--mode", choices=[m.value for m in GenerationMode], default="emit",
                         help="emit bundles only, or also boot and configure them")
-    parser.add_argument("--parallelism", type=int, default=1, help="worker pool size for batch runs")
     parser.add_argument("--json", action="store_true", help="print machine readable output")
     parser.add_argument("--config", type=Path, help="JSON file overriding generator defaults")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
@@ -173,7 +173,7 @@ def _cmd_batch(args) -> int:
     mode = GenerationMode(args.mode)
     with tempfile.TemporaryDirectory(prefix="vulnwp-work-") as scratch:
         services = _build_services(args, Path(scratch))
-        outcomes = run_batch(corpus, services, mode, parallelism=args.parallelism)
+        outcomes = run_batch(corpus, services, mode)
     args.out.mkdir(parents=True, exist_ok=True)
     outcomes_path = args.out / "outcomes.ndjson"
     write_outcomes(outcomes, outcomes_path)

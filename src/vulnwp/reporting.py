@@ -1,17 +1,16 @@
 """Batch execution and coverage accounting.
 
-A batch run generates every record in a corpus (bounded worker pool) and
-returns the outcomes sorted by exploit id so results are stable however
-the pool scheduled them. Summarizing produces totals, a success rate, a
-per-year breakdown, per-source counts for the successful extension
-scenarios, and per-reason failure counts. The report renders as a text
-table or as JSON that parses back to an equal report.
+A batch run generates every record in a corpus, one after another, and
+returns the outcomes sorted by exploit id. Summarizing produces totals,
+a success rate, a per-year breakdown, per-source counts for the
+successful extension scenarios, and per-reason failure counts. The
+report renders as a text table or as JSON that parses back to an equal
+report.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -62,20 +61,14 @@ def run_batch(
     corpus: Corpus,
     services: PipelineServices,
     mode: GenerationMode = GenerationMode.EMIT_ONLY,
-    parallelism: int = 1,
 ) -> list[GenerationOutcome]:
-    """Generate every record in the corpus.
+    """Generate every record in the corpus, one after another.
 
-    Records run on a worker pool of the given size; each works in its own
-    scratch directory, so they do not contend. The returned list is
-    sorted by exploit id regardless of completion order.
+    All records share the services' clients, so the registry tag list and
+    each CVE are fetched once per batch. The returned list is sorted by
+    exploit id.
     """
-    records = list(corpus)
-    if parallelism <= 1:
-        outcomes = [generate(record, services, mode) for record in records]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            outcomes = list(pool.map(lambda r: generate(r, services, mode), records))
+    outcomes = [generate(record, services, mode) for record in corpus]
     return sorted(outcomes, key=lambda o: o.edb_id)
 
 

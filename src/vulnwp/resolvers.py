@@ -2,9 +2,11 @@
 
 Image resolution picks the highest registry tag satisfying a version
 constraint, never below 3.1.0 (the oldest core release published to the
-container registry, 2011). Extension payloads are tried in a fixed order:
-the public SVN mirror first, then a direct .zip software link from the
-PoC header, then the archive attached to the exploit record itself.
+container registry, 2011). A tag index fetches its tag list once, on first
+use, so a tag pushed to the registry mid-run is seen on the next run.
+Extension payloads are tried in a fixed order: the public SVN mirror first,
+then a direct .zip software link from the PoC header, then the archive
+attached to the exploit record itself.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import zipfile
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -113,6 +116,15 @@ class TagIndex(ABC):
     def list_tags(self) -> list[str]:
         """Return every known tag name (order is not significant)."""
 
+    @cached_property
+    def _image_tags(self) -> list[tuple[Version, str]]:
+        """Plain dotted numeric tags at or above the floor, ascending by (version, tag).
+
+        Listed on first use only. Variant tags ("latest", "5.0-php7.2-apache") never pick images.
+        """
+        pairs = [(Version.parse(tag), tag) for tag in self.list_tags() if _PLAIN_TAG.fullmatch(tag)]
+        return sorted(pair for pair in pairs if pair[0] >= IMAGE_VERSION_FLOOR)
+
 
 class FixtureTagIndex(TagIndex):
     """Tag index backed by a static list, usually read from a JSON file."""
@@ -162,19 +174,6 @@ class DockerHubTagIndex(TagIndex):
         return tags
 
 
-def _version_tags(index: TagIndex) -> list[tuple[Version, str]]:
-    """Pair each plainly versioned tag with its parsed version.
-
-    Tags that are not pure dotted numeric strings ("latest",
-    "5.0-php7.2-apache") are skipped; variant suffixes never pick images.
-    """
-    pairs = []
-    for tag in index.list_tags():
-        if _PLAIN_TAG.fullmatch(tag):
-            pairs.append((Version.parse(tag), tag))
-    return pairs
-
-
 def find_core_image(constraint: VersionConstraint, index: TagIndex) -> ImageRef:
     """Pick the highest tag satisfying the constraint, at or above the floor.
 
@@ -182,17 +181,12 @@ def find_core_image(constraint: VersionConstraint, index: TagIndex) -> ImageRef:
     version differently ("4.7" and "4.7.0") tie-break on the tag string so
     the choice stays deterministic.
     """
-    candidates = [
-        (version, tag)
-        for version, tag in _version_tags(index)
-        if version >= IMAGE_VERSION_FLOOR and constraint.satisfies(version)
-    ]
-    if not candidates:
-        raise NoImageError(
-            f"no {index.repository} tag satisfies {constraint} at or above {IMAGE_VERSION_FLOOR}"
-        )
-    version, tag = max(candidates, key=lambda pair: (pair[0], pair[1]))
-    return ImageRef(repository=index.repository, tag=tag, resolved_version=version)
+    for version, tag in reversed(index._image_tags):
+        if constraint.satisfies(version):
+            return ImageRef(repository=index.repository, tag=tag, resolved_version=version)
+    raise NoImageError(
+        f"no {index.repository} tag satisfies {constraint} at or above {IMAGE_VERSION_FLOOR}"
+    )
 
 
 def find_latest_image(index: TagIndex) -> ImageRef:
@@ -201,10 +195,9 @@ def find_latest_image(index: TagIndex) -> ImageRef:
     Used for extension scenarios, where the title's version describes the
     extension rather than the core.
     """
-    candidates = [(v, t) for v, t in _version_tags(index) if v >= IMAGE_VERSION_FLOOR]
-    if not candidates:
+    if not index._image_tags:
         raise NoImageError(f"no versioned {index.repository} tag at or above {IMAGE_VERSION_FLOOR}")
-    version, tag = max(candidates, key=lambda pair: (pair[0], pair[1]))
+    version, tag = index._image_tags[-1]
     return ImageRef(repository=index.repository, tag=tag, resolved_version=version)
 
 
@@ -294,7 +287,7 @@ class HttpSvnMirror(SvnMirror):
             self._mirror_dir(base, dest, self._max_depth)
         except Exception as exc:
             raise FetchError(f"retrieving {base} failed: {exc}") from exc
-        if not any(dest.iterdir()):
+        if not dest.is_dir() or not any(dest.iterdir()):
             return None
         return base
 
@@ -412,11 +405,9 @@ def fetch_component(
     Order: SVN tree (tags/<version>/ when a version is known, trunk/
     otherwise), then the PoC header's software link when it points
     directly at a .zip, then the archive attached to the record. The
-    first source that produces a payload wins; when all miss,
-    NoVulnerableApplicationError is raised.
+    first source that produces a payload wins and creates dest; when all
+    miss, nothing is written and NoVulnerableApplicationError is raised.
     """
-    dest.mkdir(parents=True, exist_ok=True)
-
     if sources.svn is not None:
         locator = sources.svn.export(kind, slug, version, dest)
         if locator is not None:

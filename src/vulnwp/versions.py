@@ -5,6 +5,10 @@ missing segments read as zero, so 4.7 equals 4.7.0 and 4.10 sorts above
 4.9. Constraints come in four kinds: an exact match, an exclusive upper
 bound ("< 4.7.1"), an inclusive upper bound ("<= 2.0.1"), and a slash
 separated set ("4.7.0/4.7.1").
+
+A CPE dictionary is asked about each CVE id once; its entries, or the fact
+that the CVE is unknown, stay on the dictionary instance. An unavailable
+dictionary is asked again on the next lookup.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from functools import total_ordering
+from functools import cached_property, total_ordering
 from itertools import zip_longest
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -244,6 +248,11 @@ class CpeDictionary(ABC):
         consulted.
         """
 
+    @cached_property
+    def _resolved(self) -> dict[str, list[CpeEntry] | None]:
+        """Parsed entries per upper-cased CVE id looked up so far; None marks an unknown CVE."""
+        return {}
+
 
 class FixtureCpeDictionary(CpeDictionary):
     """Dictionary backed by a local JSON map of CVE id to CPE string list."""
@@ -333,10 +342,17 @@ def resolve_versions_from_cve(cve_id: str, dictionary: CpeDictionary) -> list[Cp
 
     Entries whose version component is a wildcard or otherwise not a
     concrete dotted numeric value are dropped. Order follows the dictionary.
+    An unknown CVE (ids compare case-insensitively) raises UnknownCveError
+    on every call but is looked up once per dictionary.
     """
-    entries = []
-    for raw in dictionary.cpes_for(cve_id):
-        entry = parse_cpe(raw)
-        if entry is not None:
-            entries.append(entry)
-    return entries
+    key = cve_id.upper()
+    if key not in dictionary._resolved:
+        try:
+            raws = dictionary.cpes_for(cve_id)
+        except UnknownCveError:
+            raws = None  # remember the miss, not the exception: its traceback pins every frame
+        dictionary._resolved[key] = None if raws is None else [e for e in map(parse_cpe, raws) if e is not None]
+    entries = dictionary._resolved[key]
+    if entries is None:
+        raise UnknownCveError(f"no dictionary entry for {cve_id}")
+    return list(entries)

@@ -139,15 +139,3 @@ class TestBatchAndStats:
             base_args(e2e_tree, tmp_path / "out") + ["stats", str(tmp_path / "absent.ndjson")]
         )
         assert code == 1
-
-    def test_parallel_batch_matches_serial(self, e2e_tree, tmp_path, capsys):
-        serial_out = tmp_path / "serial"
-        parallel_out = tmp_path / "parallel"
-        assert main(base_args(e2e_tree, serial_out) + ["--json", "batch"]) == 0
-        serial = json.loads(capsys.readouterr().out)
-        assert (
-            main(base_args(e2e_tree, parallel_out) + ["--parallelism", "4", "--json", "batch"])
-            == 0
-        )
-        parallel = json.loads(capsys.readouterr().out)
-        assert parallel == serial

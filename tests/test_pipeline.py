@@ -177,6 +177,11 @@ class TestGenerateAcrossCorpus:
 
 
 class TestGenerateEdges:
+    def test_all_miss_record_leaves_nothing_under_work_dir(self, e2e_corpus, services):
+        outcome = generate(e2e_corpus.records[106], services)
+        assert outcome.reason is FailureReason.NO_VULNERABLE_APPLICATION
+        assert not services.work_dir.exists() or not any(services.work_dir.iterdir())
+
     def test_unwritable_out_dir_is_a_setup_error(self, e2e_tree, e2e_corpus, tmp_path):
         blocker = tmp_path / "out"
         blocker.write_text("file in the way", encoding="utf-8")

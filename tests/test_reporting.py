@@ -15,8 +15,21 @@ from vulnwp.reporting import (
     summarize,
     write_outcomes,
 )
+from vulnwp.resolvers import TagIndex
 
 from conftest import E2E_BY_REASON, E2E_BY_SOURCE, E2E_EXPECTED, E2E_SUCCESS_COUNT
+
+
+class CountingTagIndex(TagIndex):
+    """A fixed tag list that counts how often it is listed."""
+
+    def __init__(self, tags: list[str]) -> None:
+        self._tags = tags
+        self.calls = 0
+
+    def list_tags(self) -> list[str]:
+        self.calls += 1
+        return list(self._tags)
 
 
 @pytest.fixture(scope="module")
@@ -33,16 +46,17 @@ class TestRunBatch:
         corpus, outcomes = batch
         assert [o.edb_id for o in outcomes] == sorted(corpus.records)
 
-    def test_parallel_run_matches_serial(self, e2e_tree, tmp_path, batch):
-        _, serial = batch
-        corpus = e2e_tree.load()
+    def test_lists_registry_tags_once_per_batch(self, e2e_tree, tmp_path, batch):
+        corpus, expected = batch
         services = e2e_tree.services(tmp_path / "out", tmp_path / "work")
-        parallel = run_batch(corpus, services, parallelism=4)
-        keyed = lambda outcomes: [
-            (o.edb_id, o.status.value, o.reason.value if o.reason else None, o.sources)
-            for o in outcomes
+        services.registry = CountingTagIndex(services.registry.list_tags())
+        outcomes = run_batch(corpus, services)
+        images = {o.image for o in outcomes if o.image}
+        assert {"wordpress:4.7.0", "wordpress:4.7.1", "wordpress:5.0"} <= images  # core and plugin records
+        assert services.registry.calls == 1
+        assert [(o.edb_id, o.status, o.reason, o.image, o.sources) for o in outcomes] == [
+            (o.edb_id, o.status, o.reason, o.image, o.sources) for o in expected
         ]
-        assert keyed(parallel) == keyed(serial)
 
 
 class TestSummarize:

@@ -32,6 +32,47 @@ def ver(text: str) -> Version:
     return Version.parse(text)
 
 
+def oracle_pick(tags: list[str], constraint: VersionConstraint | None) -> str | None:
+    """Filter-then-max over every plainly versioned tag, reparsed on each call."""
+    eligible = [
+        (ver(tag), tag)
+        for tag in tags
+        if all(part.isdigit() for part in tag.split("."))
+        and ver(tag) >= IMAGE_VERSION_FLOOR
+        and (constraint is None or constraint.satisfies(ver(tag)))
+    ]
+    return max(eligible)[1] if eligible else None
+
+
+# Versions around the 3.1.0 floor, with zero-padding twins ("4.7"/"4.7.0").
+version_texts = st.builds(
+    lambda major, minor, patch: ".".join(str(s) for s in (major, minor, *patch)),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=0, max_value=3),
+    st.lists(st.integers(min_value=0, max_value=2), max_size=2),
+)
+_TAG_SPELLINGS = {
+    "plain": lambda text: [text],
+    "twins": lambda text: [text, text + ".0"],
+    "padded": lambda text: [text + ".0"],
+    "variant": lambda text: [text + "-php7.2-apache"],
+}
+tag_lists = (
+    st.lists(st.tuples(version_texts, st.sampled_from(sorted(_TAG_SPELLINGS))), max_size=15)
+    .map(lambda picks: [tag for text, shape in picks for tag in _TAG_SPELLINGS[shape](text)])
+    .map(lambda tags: tags + tags[: len(tags) // 3] + ["latest", "cli"])  # duplicates, non-versions
+    .flatmap(st.permutations)
+)
+constraints = st.one_of(
+    version_texts.map(lambda text: VersionConstraint.exact(ver(text))),
+    version_texts.map(lambda text: VersionConstraint.upper_bound(ver(text))),
+    version_texts.map(lambda text: VersionConstraint.upper_bound(ver(text), inclusive=True)),
+    st.lists(version_texts, min_size=2, max_size=4).map(
+        lambda texts: VersionConstraint.version_set([ver(t) for t in texts])
+    ),
+)
+
+
 @pytest.fixture()
 def registry() -> FixtureTagIndex:
     return FixtureTagIndex(list(REGISTRY_TAGS))
@@ -103,6 +144,24 @@ class TestFindCoreImage:
             else:
                 with pytest.raises(NoImageError):
                     find_core_image(constraint, registry)
+
+    @given(tag_lists, st.lists(constraints, min_size=1, max_size=4))
+    def test_cached_listing_agrees_with_filter_then_max_oracle(self, tags, constraint_list):
+        index = FixtureTagIndex(tags)
+        for constraint in constraint_list:  # later picks come from the cached listing
+            expected = oracle_pick(tags, constraint)
+            if expected is None:
+                with pytest.raises(NoImageError):
+                    find_core_image(constraint, index)
+            else:
+                image = find_core_image(constraint, index)
+                assert (image.tag, image.resolved_version) == (expected, ver(expected))
+        latest = oracle_pick(tags, None)
+        if latest is None:
+            with pytest.raises(NoImageError):
+                find_latest_image(index)
+        else:
+            assert find_latest_image(index).tag == latest
 
     def test_adding_tags_never_lowers_resolution(self, registry):
         base = find_core_image(parse_version_expr("< 4.7.1"), registry)
@@ -278,8 +337,9 @@ class TestFetchComponentOrder:
                 ver("1.0"),
                 self._record(tmp_path, app=False),
                 self._sources(tmp_path, svn=False, link=False),
-                tmp_path / "dest",
+                tmp_path / "work" / "components" / "sample",
             )
+        assert not (tmp_path / "work").exists()
 
     def test_non_zip_link_is_skipped(self, tmp_path):
         record = make_record(header={"software-link": "https://market.example.test/item"})

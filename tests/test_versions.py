@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import logging
 
@@ -12,8 +13,11 @@ from vulnwp.errors import (
     UnknownCveError,
     UnparsableVersionError,
 )
+from vulnwp.pipeline import resolve_constraint
+from vulnwp.titles import parse_title
 from vulnwp.versions import (
     ConstraintKind,
+    CpeDictionary,
     FixtureCpeDictionary,
     Version,
     VersionConstraint,
@@ -262,3 +266,90 @@ class TestCpeDictionary:
         )
         entries = resolve_versions_from_cve("CVE-2020-1234", FixtureCpeDictionary(path))
         assert len(entries) == 1
+
+
+class _UnknownCve(UnknownCveError):
+    """Raised only by the counting dictionary below, so live instances can be found."""
+
+
+class CountingCpeDictionary(CpeDictionary):
+    """A CVE map that counts lookups per CVE id and can be switched unavailable."""
+
+    def __init__(self, entries: dict[str, list[str]]) -> None:
+        self._entries = entries
+        self.calls: dict[str, int] = {}
+        self.available = True
+
+    def cpes_for(self, cve_id: str) -> list[str]:
+        self.calls[cve_id] = self.calls.get(cve_id, 0) + 1
+        if not self.available:
+            raise DictionaryUnavailableError("dictionary offline")
+        if cve_id.upper() not in self._entries:
+            raise _UnknownCve(f"no dictionary entry for {cve_id}")
+        return list(self._entries[cve_id.upper()])
+
+
+class TestCpeLookupsOncePerDictionary:
+    CVES = {
+        "CVE-2017-5487": ["cpe:2.3:a:wordpress:wordpress:4.7:*:*:*:*:*:*:*"],
+        "CVE-2018-0001": ["cpe:2.3:a:wordpress:wordpress:4.9:*:*:*:*:*:*:*"],
+    }
+
+    def _resolve_all(self, dictionary: CpeDictionary, cve_lists: list[tuple[str, ...]]) -> list:
+        results = []
+        for edb_id, cve_ids in enumerate(cve_lists, start=1):
+            record = make_record(edb_id=edb_id, title="WordPress Core - User Enumeration", cve_ids=cve_ids)
+            results.append(resolve_constraint(record, parse_title(record.title), dictionary))
+        return results
+
+    def test_one_lookup_per_distinct_cve_including_unknown(self):
+        dictionary = CountingCpeDictionary(self.CVES)
+        results = self._resolve_all(dictionary, [
+            ("CVE-2017-5487",),
+            ("CVE-1999-0001", "CVE-2018-0001"),
+            ("CVE-2017-5487", "CVE-1999-0001"),
+            ("CVE-1999-0001",),
+            ("CVE-2018-0001", "CVE-2017-5487"),
+        ])
+        assert dictionary.calls == {"CVE-2017-5487": 1, "CVE-1999-0001": 1, "CVE-2018-0001": 1}
+        assert results == [
+            VersionConstraint.exact(ver("4.7")),
+            VersionConstraint.exact(ver("4.9")),
+            VersionConstraint.exact(ver("4.7")),
+            None,
+            VersionConstraint.version_set([ver("4.9"), ver("4.7")]),
+        ]
+
+    def test_cached_results_match_a_fresh_dictionary(self):
+        dictionary = CountingCpeDictionary(self.CVES)
+        first = resolve_versions_from_cve("CVE-2017-5487", dictionary)
+        first.clear()  # the caller's list, not the cached one
+        assert resolve_versions_from_cve("cve-2017-5487", dictionary) == resolve_versions_from_cve(
+            "CVE-2017-5487", CountingCpeDictionary(self.CVES)
+        )
+        assert dictionary.calls == {"CVE-2017-5487": 1}
+
+    def test_unknown_cve_keeps_raising_without_a_second_lookup(self):
+        dictionary = CountingCpeDictionary(self.CVES)
+        for _ in range(3):
+            with pytest.raises(UnknownCveError):
+                resolve_versions_from_cve("CVE-1999-0001", dictionary)
+        assert dictionary.calls == {"CVE-1999-0001": 1}
+
+    def test_unknown_cve_is_remembered_without_its_exception(self):
+        dictionary = CountingCpeDictionary(self.CVES)
+        self._resolve_all(dictionary, [("CVE-1999-0001",), ("CVE-1999-0002",)])
+        gc.collect()
+        assert not [obj for obj in gc.get_objects() if isinstance(obj, _UnknownCve)]
+
+    def test_unavailable_dictionary_is_asked_again_on_the_next_record(self):
+        dictionary = CountingCpeDictionary(self.CVES)
+        dictionary.available = False
+        assert self._resolve_all(dictionary, [("CVE-2017-5487",), ("CVE-2017-5487",)]) == [None, None]
+        assert dictionary.calls == {"CVE-2017-5487": 2}
+        dictionary.available = True
+        assert self._resolve_all(dictionary, [("CVE-2017-5487",), ("CVE-2017-5487",)]) == [
+            VersionConstraint.exact(ver("4.7")),
+            VersionConstraint.exact(ver("4.7")),
+        ]
+        assert dictionary.calls == {"CVE-2017-5487": 3}
