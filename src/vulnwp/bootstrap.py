@@ -1,10 +1,12 @@
 """Drive a freshly emitted environment to a configured state.
 
-After the stack comes up, the admin page is polled every ten seconds
-until it answers 200 (or a timeout expires), then the plan's setup steps
-run inside the application container one by one, stopping at the first
-failure. The clock and the HTTP prober are injected so the schedule can
-be tested on simulated time.
+bring_up does it in one pass from the bundle directory: build the image
+`vulnwp-<id>`, start the Compose project of the same name, poll the
+installer page every ten seconds until it answers 200 (or a timeout
+expires), then run the plan's setup steps in the `app` service one by
+one, stopping at the first failure. The command executor, the clock and
+the HTTP prober are injected so the whole sequence can be tested without
+a container runtime and on simulated time.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from pathlib import Path
 
+from .config import GeneratorConfig
 from .errors import BootstrapTimeoutError, SetupStepFailedError
-from .iac import EnvironmentPlan, SetupStep, render_step_argv
+from .iac import APP_SERVICE, EnvironmentPlan, SetupStep, app_image_name, render_step_argv
 
 logger = logging.getLogger(__name__)
 
@@ -33,12 +37,8 @@ __all__ = [
     "StepResult",
     "SetupReport",
     "run_setup",
-    "app_container_name",
+    "bring_up",
 ]
-
-DEFAULT_READINESS_PATH = "/wp-admin/index.php"
-DEFAULT_INTERVAL = 10.0
-DEFAULT_TIMEOUT = 300.0
 
 
 class Clock(ABC):
@@ -106,9 +106,8 @@ class ReadinessProbe:
     """What to poll and how patiently."""
 
     url: str
-    interval: float = DEFAULT_INTERVAL
-    timeout: float = DEFAULT_TIMEOUT
-    success_status: int = 200
+    interval: float = GeneratorConfig.probe_interval
+    timeout: float = GeneratorConfig.probe_timeout
 
     def __post_init__(self) -> None:
         if self.interval <= 0:
@@ -117,13 +116,13 @@ class ReadinessProbe:
             raise ValueError("probe timeout must be at least one interval")
 
     @classmethod
-    def for_plan(cls, plan: EnvironmentPlan, path: str = DEFAULT_READINESS_PATH,
-                 interval: float = DEFAULT_INTERVAL, timeout: float = DEFAULT_TIMEOUT) -> "ReadinessProbe":
-        return cls(url=f"{plan.site.url}{path}", interval=interval, timeout=timeout)
+    def for_plan(cls, plan: EnvironmentPlan, config: GeneratorConfig) -> "ReadinessProbe":
+        return cls(url=f"{plan.site.url}{config.readiness_path}",
+                   interval=config.probe_interval, timeout=config.probe_timeout)
 
 
 def wait_ready(probe: ReadinessProbe, http: ReadinessClient, clock: Clock) -> float:
-    """Poll until the probe URL answers its success status.
+    """Poll until the probe URL answers 200.
 
     The first request goes out immediately, then one per interval. A non
     matching status and a transport error both count as "not ready yet".
@@ -139,7 +138,7 @@ def wait_ready(probe: ReadinessProbe, http: ReadinessClient, clock: Clock) -> fl
         except Exception as exc:
             status = None
             logger.debug("probe %s errored after %.0fs: %s", probe.url, elapsed, exc)
-        if status == probe.success_status:
+        if status == 200:
             logger.info("environment ready after %.0fs", elapsed)
             return elapsed
         if elapsed + probe.interval > probe.timeout:
@@ -153,24 +152,26 @@ def wait_ready(probe: ReadinessProbe, http: ReadinessClient, clock: Clock) -> fl
 
 
 class CommandExecutor(ABC):
-    """Runs an argv inside a named container."""
+    """Runs one container-runtime command from a bundle directory."""
 
     @abstractmethod
-    def run(self, container: str, argv: list[str]) -> tuple[int, str]:
+    def run(self, argv: list[str], cwd: Path) -> tuple[int, str]:
         """Return (exit status, captured output)."""
 
 
 class DockerExecutor(CommandExecutor):
-    """Executor that shells out to `docker exec` (container runtime required)."""
+    """Executor that shells out to the `docker` CLI (container runtime required).
 
-    def run(self, container: str, argv: list[str]) -> tuple[int, str]:
+    A binary that cannot be started answers status 127, as a shell would.
+    """
+
+    def run(self, argv: list[str], cwd: Path) -> tuple[int, str]:
         import subprocess
 
-        completed = subprocess.run(
-            ["docker", "exec", container, *argv],
-            capture_output=True,
-            text=True,
-        )
+        try:
+            completed = subprocess.run(["docker", *argv], cwd=cwd, capture_output=True, text=True)
+        except OSError as exc:
+            return 127, str(exc)
         return completed.returncode, completed.stdout + completed.stderr
 
 
@@ -192,23 +193,19 @@ class SetupReport:
         return all(r.ok for r in self.results)
 
 
-def app_container_name(plan: EnvironmentPlan) -> str:
-    return f"vulnwp-{plan.edb_id}-app"
-
-
-def run_setup(plan: EnvironmentPlan, executor: CommandExecutor,
-              container: str | None = None) -> SetupReport:
+def run_setup(plan: EnvironmentPlan, executor: CommandExecutor, bundle_dir: Path) -> SetupReport:
     """Run the plan's setup steps in order, stopping at the first failure.
 
-    Returns the full report when every step exits zero. On a failure the
-    partial report (failed step included) travels on the raised
+    Each step runs as `compose -p vulnwp-<id> exec -T app <argv>`, so
+    Compose finds the service's container whatever it named it. Returns
+    the full report when every step exits zero. On a failure the partial
+    report (failed step included) travels on the raised
     SetupStepFailedError.
     """
-    container = container or app_container_name(plan)
+    exec_prefix = ["compose", "-p", app_image_name(plan.edb_id), "exec", "-T", APP_SERVICE]
     results: list[StepResult] = []
     for step in plan.setup_steps:
-        argv = render_step_argv(step, plan)
-        status, output = executor.run(container, argv)
+        status, output = executor.run(exec_prefix + render_step_argv(step, plan), bundle_dir)
         result = StepResult(step=step, ok=status == 0, output=output)
         results.append(result)
         if not result.ok:
@@ -219,3 +216,25 @@ def run_setup(plan: EnvironmentPlan, executor: CommandExecutor,
                 report=SetupReport(results=tuple(results)),
             )
     return SetupReport(results=tuple(results))
+
+
+def bring_up(plan: EnvironmentPlan, bundle_dir: Path, executor: CommandExecutor,
+             readiness: ReadinessClient, clock: Clock, config: GeneratorConfig) -> SetupReport:
+    """Build, start, probe and configure one emitted bundle, in that order.
+
+    A failing build or `compose up` raises SetupStepFailedError with no
+    step and an empty report; a probe timeout raises
+    BootstrapTimeoutError; a failing setup step raises as run_setup does.
+    """
+    name = app_image_name(plan.edb_id)
+    for argv in (["build", "-t", name, "."], ["compose", "-p", name, "up", "-d"]):
+        status, output = executor.run(argv, bundle_dir)
+        if status != 0:
+            last_line = output.strip().rpartition("\n")[2]
+            raise SetupStepFailedError(
+                f"docker {' '.join(argv)} exited {status}: {last_line}",
+                step=None,
+                report=SetupReport(results=()),
+            )
+    wait_ready(ReadinessProbe.for_plan(plan, config), readiness, clock)
+    return run_setup(plan, executor, bundle_dir)

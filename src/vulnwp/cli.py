@@ -8,7 +8,10 @@ Subcommands:
 Global flags pick the corpus, the fixture directory (offline clients),
 the output directory, the mode, and JSON output. A batch runs its
 records one after another on one set of clients, so the registry tag
-list and each CVE are fetched once per run. Exit codes: 0 success, 2
+list and each CVE are fetched once per run. With `--mode bootstrap`,
+each generation also builds, starts, probes and configures its stack
+through the docker CLI in the same pass; a runtime that is missing or
+down ends as an error-during-setup outcome. Exit codes: 0 success, 2
 the requested generation failed, 1 usage or configuration error.
 """
 
@@ -17,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -129,36 +131,14 @@ def _build_services(args, work_dir: Path) -> PipelineServices:
     )
 
 
-def _bring_up_stack(bundle_dir: Path, edb_id: int) -> None:
-    """Build the bundle image and start its compose stack (docker required)."""
-    subprocess.run(
-        ["docker", "build", "-t", f"vulnwp-{edb_id}", "."],
-        cwd=bundle_dir,
-        check=True,
-    )
-    subprocess.run(
-        ["docker", "compose", "-p", f"vulnwp-{edb_id}", "up", "-d"],
-        cwd=bundle_dir,
-        check=True,
-    )
-
-
 def _cmd_generate(args) -> int:
     corpus = _load_corpus_arg(args)
     record = corpus.records.get(args.edb_id)
     if record is None:
         raise VulnwpError(f"exploit id {args.edb_id} is not in the corpus")
-    mode = GenerationMode(args.mode)
     with tempfile.TemporaryDirectory(prefix="vulnwp-work-") as scratch:
         services = _build_services(args, Path(scratch))
-        if mode is GenerationMode.EMIT_AND_BOOTSTRAP:
-            # Emit first so the stack can be brought up, then drive setup.
-            outcome = generate(record, services, GenerationMode.EMIT_ONLY)
-            if outcome.is_success:
-                _bring_up_stack(services.out_dir / str(record.edb_id), record.edb_id)
-                outcome = generate(record, services, mode)
-        else:
-            outcome = generate(record, services, mode)
+        outcome = generate(record, services, GenerationMode(args.mode))
     if args.json:
         print(json.dumps(outcome.to_json_dict(), indent=2, sort_keys=True))
     elif outcome.is_success:

@@ -54,7 +54,7 @@ class GeneratorConfig:
     database: DatabaseSpec = field(default_factory=DatabaseSpec)
     site: SiteSpec = field(default_factory=SiteSpec)
     docroot: str = "/var/www/html"
-    readiness_path: str = "/wp-admin/index.php"
+    readiness_path: str = "/wp-admin/install.php"
     probe_interval: float = 10.0
     probe_timeout: float = 300.0
 

@@ -10,7 +10,6 @@ named <edb_id>.zip.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import re
 from dataclasses import dataclass, field
@@ -26,9 +25,6 @@ __all__ = [
     "Corpus",
     "load_corpus",
     "parse_poc_header",
-    "render_poc_header",
-    "save_normalized",
-    "load_normalized",
 ]
 
 EARLIEST_PUBLICATION = date(1999, 1, 1)
@@ -41,10 +37,6 @@ _CVE_TOKEN = re.compile(r"CVE-\d{4}-\d{4,}", re.IGNORECASE)
 # followed by whitespace so URLs ("https://...") never read as keys.
 _HEADER_LINE = re.compile(r"^\s*#*\s*([A-Za-z][A-Za-z0-9 _/-]{0,39}?)\s*:\s+(\S.*?)\s*$")
 _HEADER_SCAN_LINES = 60
-
-RECOGNIZED_HEADER_KEYS = frozenset(
-    {"software-link", "version", "tested-on", "exploit-author", "cve"}
-)
 
 
 @dataclass(frozen=True)
@@ -104,11 +96,6 @@ def parse_poc_header(poc_text: str) -> dict[str, str]:
     return header
 
 
-def render_poc_header(header: dict[str, str]) -> str:
-    """Render a parsed header back to one "# key: value" line per entry."""
-    return "\n".join(f"# {key}: {value}" for key, value in header.items())
-
-
 def _parse_cve_codes(codes: str | None) -> tuple[str, ...]:
     if not codes:
         return ()
@@ -136,33 +123,19 @@ def _parse_row(row: dict[str, str], row_number: int) -> tuple[int, str, date]:
     return edb_id, row["file"], published
 
 
-def load_corpus(
-    index_path: Path | str,
-    files_root: Path | str,
-    apps_dir: Path | str | None = None,
-    platforms: set[str] | None = None,
-    types: set[str] | None = None,
-    snapshot_date: date | None = None,
-) -> Corpus:
+def load_corpus(index_path: Path | str, files_root: Path | str) -> Corpus:
     """Load a corpus from a CSV index and a tree of PoC files.
 
-    Args:
-        index_path: the CSV index.
-        files_root: directory the index's file column is relative to.
-        apps_dir: directory holding <edb_id>.zip archives; defaults to
-            <files_root>/apps.
-        platforms: keep only rows whose platform is in this set (all rows
-            when None). Matching is case insensitive.
-        types: same for the type column.
-        snapshot_date: recorded on the corpus; defaults to today.
-
-    A row whose PoC file is missing still yields a record (empty poc_text)
-    and a corpus warning. Raises IndexUnreadableError for a missing or
-    malformed index and DuplicateIdError when two rows share an id.
+    The index's file column is relative to files_root; attached archives
+    are read from <files_root>/apps/<edb_id>.zip; the snapshot date is
+    today. A row whose PoC file is missing still yields a record (empty
+    poc_text) and a corpus warning. Raises IndexUnreadableError for a
+    missing or malformed index and DuplicateIdError when two rows share
+    an id.
     """
     index_path = Path(index_path)
     files_root = Path(files_root)
-    apps_root = Path(apps_dir) if apps_dir is not None else files_root / "apps"
+    apps_root = files_root / "apps"
 
     try:
         with index_path.open(newline="", encoding="utf-8-sig") as handle:
@@ -177,17 +150,10 @@ def load_corpus(
     except csv.Error as exc:
         raise IndexUnreadableError(f"index {index_path} is not valid CSV: {exc}") from exc
 
-    platforms = {p.lower() for p in platforms} if platforms else None
-    types = {t.lower() for t in types} if types else None
-
     records: dict[int, ExploitRecord] = {}
     warnings: list[str] = []
     for row_number, row in enumerate(rows, start=2):
         edb_id, rel_file, published = _parse_row(row, row_number)
-        if platforms is not None and row["platform"].strip().lower() not in platforms:
-            continue
-        if types is not None and row["type"].strip().lower() not in types:
-            continue
         if edb_id in records:
             raise DuplicateIdError(f"exploit id {edb_id} appears more than once in {index_path}")
 
@@ -216,58 +182,7 @@ def load_corpus(
     return Corpus(
         records=records,
         source_path=str(index_path),
-        snapshot_date=snapshot_date or date.today(),
+        snapshot_date=date.today(),
         warnings=warnings,
     )
 
-
-def save_normalized(corpus: Corpus, path: Path | str) -> None:
-    """Write the corpus in its normalized JSON form."""
-    payload = {
-        "source_path": corpus.source_path,
-        "snapshot_date": corpus.snapshot_date.isoformat(),
-        "records": [
-            {
-                "edb_id": r.edb_id,
-                "title": r.title,
-                "author": r.author,
-                "vuln_type": r.vuln_type,
-                "published": r.published.isoformat(),
-                "platform": r.platform,
-                "cve_ids": list(r.cve_ids),
-                "poc_text": r.poc_text,
-                "poc_header": r.poc_header,
-                "app_archive": str(r.app_archive) if r.app_archive else None,
-            }
-            for r in corpus.records.values()
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
-
-
-def load_normalized(path: Path | str) -> Corpus:
-    """Reload a corpus saved with save_normalized."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise IndexUnreadableError(f"cannot read normalized corpus {path}: {exc}") from exc
-    records = {}
-    for item in payload["records"]:
-        record = ExploitRecord(
-            edb_id=item["edb_id"],
-            title=item["title"],
-            author=item["author"],
-            vuln_type=item["vuln_type"],
-            published=date.fromisoformat(item["published"]),
-            platform=item["platform"],
-            cve_ids=tuple(item["cve_ids"]),
-            poc_text=item["poc_text"],
-            poc_header=dict(item["poc_header"]),
-            app_archive=Path(item["app_archive"]) if item["app_archive"] else None,
-        )
-        records[record.edb_id] = record
-    return Corpus(
-        records=records,
-        source_path=payload["source_path"],
-        snapshot_date=date.fromisoformat(payload["snapshot_date"]),
-    )

@@ -19,7 +19,7 @@ import json
 import shlex
 import shutil
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 from enum import Enum
 from pathlib import Path
 
@@ -302,17 +302,15 @@ def emit_bundle(
     plan: EnvironmentPlan,
     bundle_dir: Path | str,
     *,
-    generated_at: datetime | None = None,
+    generated_at: datetime,
 ) -> BundleManifest:
     """Write the bundle for a plan and return the manifest.
 
-    generated_at lands in provenance.json; inject a fixed value to make
-    two emissions byte identical. Raises BundleWriteError when any file
+    generated_at lands in provenance.json; the same value makes two
+    emissions byte identical. Raises BundleWriteError when any file
     cannot be written.
     """
     bundle_dir = Path(bundle_dir)
-    if generated_at is None:
-        generated_at = datetime.now(timezone.utc)
 
     rendered = {
         "Dockerfile": _render_dockerfile(plan),

@@ -5,8 +5,10 @@ The control flow: classify the title; resolve the vulnerable version
 records with no version and no attached application stop early. Core
 exploits resolve a base image for their version; plugin and theme
 exploits fetch the extension payload through the ordered source
-fallback. Whatever resolves is emitted as a container bundle, and in
-bootstrap mode the environment is then polled ready and configured.
+fallback. Whatever resolves is emitted as a container bundle. In
+bootstrap mode the same call then builds the bundle's image, starts its
+stack, polls it ready and configures it, all through the injected
+executor and readiness client; any failure there is error-during-setup.
 """
 
 from __future__ import annotations
@@ -16,15 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .bootstrap import (
-    Clock,
-    CommandExecutor,
-    ReadinessClient,
-    ReadinessProbe,
-    SystemClock,
-    run_setup,
-    wait_ready,
-)
+from .bootstrap import Clock, CommandExecutor, ReadinessClient, SystemClock, bring_up
 from .config import GeneratorConfig
 from .corpus import ExploitRecord
 from .errors import (
@@ -324,10 +318,9 @@ def generate(
         title=record.title,
         unused_app_archive=unused_archive,
     )
+    bundle_dir = services.out_dir / str(record.edb_id)
     try:
-        manifest = emit_bundle(
-            plan, services.out_dir / str(record.edb_id), generated_at=services.clock.now()
-        )
+        manifest = emit_bundle(plan, bundle_dir, generated_at=services.clock.now())
     except BundleWriteError as exc:
         logger.error("bundle for exploit %s not written: %s", record.edb_id, exc)
         return failure(FailureReason.ERROR_DURING_SETUP, unused_archive=unused_archive)
@@ -335,15 +328,9 @@ def generate(
     if mode is GenerationMode.EMIT_AND_BOOTSTRAP:
         if services.readiness is None or services.executor is None:
             raise ValueError("bootstrap mode needs a readiness client and an executor")
-        probe = ReadinessProbe.for_plan(
-            plan,
-            path=services.config.readiness_path,
-            interval=services.config.probe_interval,
-            timeout=services.config.probe_timeout,
-        )
         try:
-            wait_ready(probe, services.readiness, services.clock)
-            run_setup(plan, services.executor)
+            bring_up(plan, bundle_dir, services.executor, services.readiness,
+                     services.clock, services.config)
         except (BootstrapTimeoutError, SetupStepFailedError) as exc:
             logger.warning("bootstrap of exploit %s failed: %s", record.edb_id, exc)
             return failure(FailureReason.ERROR_DURING_SETUP, unused_archive=unused_archive)

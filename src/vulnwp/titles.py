@@ -19,7 +19,7 @@ from .versions import parse_version_expr
 if TYPE_CHECKING:
     from .corpus import Corpus
 
-__all__ = ["ExploitCategory", "ParsedTitle", "parse_title", "render_title", "classify_corpus"]
+__all__ = ["ExploitCategory", "ParsedTitle", "parse_title", "classify_corpus"]
 
 _SEPARATOR = " - "
 _PREFIX = "wordpress"
@@ -129,18 +129,6 @@ def parse_title(title: str) -> ParsedTitle:
         if best_versionless is None:
             best_versionless = parsed
     return best_versionless or _UNCATEGORIZED
-
-
-def render_title(parsed: ParsedTitle) -> str:
-    """Render a parsed title back into the normalized convention."""
-    if parsed.category is ExploitCategory.UNCATEGORIZED:
-        raise ValueError("an uncategorized title has no normalized form")
-    parts = ["WordPress", parsed.category.value.capitalize()]
-    if parsed.product:
-        parts.append(parsed.product)
-    if parsed.version_expr:
-        parts.append(parsed.version_expr)
-    return f"{' '.join(parts)}{_SEPARATOR}{parsed.attack_type}"
 
 
 def classify_corpus(corpus: "Corpus") -> dict[ExploitCategory, int]:

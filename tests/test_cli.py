@@ -6,7 +6,11 @@ from pathlib import Path
 import pytest
 import yaml
 
+import vulnwp.pipeline
+from vulnwp.bootstrap import SimulatedClock
 from vulnwp.cli import main
+
+from test_bootstrap import RecordingExecutor, ScriptedClient
 
 
 def base_args(e2e_tree, out: Path) -> list[str]:
@@ -102,6 +106,52 @@ class TestGenerateCommand:
         )
         assert code == 1
         assert "registry" in capsys.readouterr().err
+
+
+class TestBootstrapMode:
+    GENERATE_103 = ["--mode", "bootstrap", "generate", "--edb-id", "103"]
+
+    def fake_stack(self, monkeypatch, fail_on=None):
+        executor = RecordingExecutor(fail_on=fail_on)
+        readiness = ScriptedClient(SimulatedClock(), ready_at=0.0)
+        monkeypatch.setattr("vulnwp.cli.DockerExecutor", lambda: executor)
+        monkeypatch.setattr("vulnwp.cli.HttpReadinessClient", lambda: readiness)
+        return executor, readiness
+
+    def test_failing_build_is_a_setup_failure(self, e2e_tree, tmp_path, capsys, monkeypatch):
+        executor, readiness = self.fake_stack(monkeypatch, fail_on="build")
+        code = main(base_args(e2e_tree, tmp_path / "out") + self.GENERATE_103)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "103: failed (error-during-setup)" in captured.out
+        assert "Traceback" not in captured.err
+        assert len(executor.calls) == 1
+        assert readiness.calls == []
+
+    def test_passing_stack_is_built_started_and_configured_once(
+        self, e2e_tree, tmp_path, capsys, monkeypatch
+    ):
+        executor, readiness = self.fake_stack(monkeypatch)
+        fetches = []
+        fetch = vulnwp.pipeline.fetch_component
+
+        def counting_fetch(**kwargs):
+            fetches.append(kwargs["slug"])
+            return fetch(**kwargs)
+
+        monkeypatch.setattr(vulnwp.pipeline, "fetch_component", counting_fetch)
+        out = tmp_path / "out"
+        code = main(base_args(e2e_tree, out) + self.GENERATE_103)
+        assert code == 0
+        argvs = [argv for argv, _ in executor.calls]
+        assert argvs[0] == ("build", "-t", "vulnwp-103", ".")
+        assert argvs[1] == ("compose", "-p", "vulnwp-103", "up", "-d")
+        # A plugin record has four setup steps: install, admin, copy check, activate.
+        exec_prefix = ("compose", "-p", "vulnwp-103", "exec", "-T", "app")
+        assert [argv[:6] for argv in argvs[2:]] == [exec_prefix] * 4
+        assert {cwd for _, cwd in executor.calls} == {out / "103"}
+        assert len(readiness.calls) == 1
+        assert len(fetches) == 1
 
 
 class TestBatchAndStats:

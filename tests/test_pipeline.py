@@ -21,7 +21,6 @@ from vulnwp.versions import FixtureCpeDictionary, Version, VersionConstraint, pa
 
 from conftest import E2E_EXPECTED, make_record
 from test_bootstrap import RecordingExecutor, ScriptedClient
-from vulnwp.iac import StepKind
 
 
 def ver(text: str) -> Version:
@@ -204,7 +203,9 @@ class TestGenerateEdges:
         )
         assert outcome.is_success
         assert services.readiness.calls == [0.0, 10.0, 20.0, 30.0]
-        assert len(services.executor.calls) == len(outcome.plan.setup_steps)
+        # Build and compose up, then one exec per setup step.
+        assert len(services.executor.calls) == 2 + len(outcome.plan.setup_steps)
+        assert {cwd for _, cwd in services.executor.calls} == {tmp_path / "out" / "103"}
 
     def test_bootstrap_timeout_is_a_setup_error(self, e2e_tree, e2e_corpus, tmp_path):
         clock = SimulatedClock()
@@ -220,7 +221,7 @@ class TestGenerateEdges:
         clock = SimulatedClock()
         services = e2e_tree.services(tmp_path / "out", tmp_path / "work", clock=clock)
         services.readiness = ScriptedClient(clock, ready_at=0.0)
-        services.executor = RecordingExecutor(fail_on=StepKind.COPY_COMPONENT)
+        services.executor = RecordingExecutor(fail_on="test")
         outcome = generate(
             e2e_corpus.records[103], services, mode=GenerationMode.EMIT_AND_BOOTSTRAP
         )

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vulnwp.corpus import Corpus
-from vulnwp.titles import ExploitCategory, ParsedTitle, classify_corpus, parse_title, render_title
+from vulnwp.titles import ExploitCategory, ParsedTitle, classify_corpus, parse_title
 
 from conftest import make_record
 
@@ -146,6 +146,12 @@ attack_names = st.sampled_from(
     ["SQL Injection", "Cross-Site Scripting", "Arbitrary File Upload", "Remote Code Execution"]
 )
 version_exprs = st.sampled_from(["1.0", "2.8.1", "< 4.7.1", "<= 3.4", "4.7.0/4.7.1", None])
+
+
+def render_title(parsed: ParsedTitle) -> str:
+    """Render a parsed title in the normalized convention parse_title reads."""
+    parts = ["WordPress", parsed.category.value.capitalize(), parsed.product, parsed.version_expr]
+    return f"{' '.join(p for p in parts if p)} - {parsed.attack_type}"
 
 
 @given(
