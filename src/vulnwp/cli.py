@@ -21,7 +21,6 @@ import argparse
 import json
 import logging
 import sys
-import tempfile
 from pathlib import Path
 
 from .bootstrap import DockerExecutor, HttpReadinessClient
@@ -90,7 +89,7 @@ def _load_corpus_arg(args) -> Corpus:
     return load_corpus(index, args.corpus)
 
 
-def _build_services(args, work_dir: Path) -> PipelineServices:
+def _build_services(args) -> PipelineServices:
     config = GeneratorConfig.from_json(args.config) if args.config else GeneratorConfig()
     if args.fixtures is not None:
         fixtures = args.fixtures
@@ -123,7 +122,6 @@ def _build_services(args, work_dir: Path) -> PipelineServices:
         registry=registry,
         sources=sources,
         out_dir=args.out,
-        work_dir=work_dir,
         cpe=cpe,
         config=config,
         readiness=readiness,
@@ -136,9 +134,7 @@ def _cmd_generate(args) -> int:
     record = corpus.records.get(args.edb_id)
     if record is None:
         raise VulnwpError(f"exploit id {args.edb_id} is not in the corpus")
-    with tempfile.TemporaryDirectory(prefix="vulnwp-work-") as scratch:
-        services = _build_services(args, Path(scratch))
-        outcome = generate(record, services, GenerationMode(args.mode))
+    outcome = generate(record, _build_services(args), GenerationMode(args.mode))
     if args.json:
         print(json.dumps(outcome.to_json_dict(), indent=2, sort_keys=True))
     elif outcome.is_success:
@@ -151,9 +147,7 @@ def _cmd_generate(args) -> int:
 def _cmd_batch(args) -> int:
     corpus = _load_corpus_arg(args)
     mode = GenerationMode(args.mode)
-    with tempfile.TemporaryDirectory(prefix="vulnwp-work-") as scratch:
-        services = _build_services(args, Path(scratch))
-        outcomes = run_batch(corpus, services, mode)
+    outcomes = run_batch(corpus, _build_services(args), mode)
     args.out.mkdir(parents=True, exist_ok=True)
     outcomes_path = args.out / "outcomes.ndjson"
     write_outcomes(outcomes, outcomes_path)

@@ -3,7 +3,9 @@
 Every credential here is a fixed, documented test value. Nothing is
 randomized; reproducing the same bundle twice must give identical bytes.
 Override any of it with a JSON config file (see GeneratorConfig.from_json)
-when the defaults clash with local policy.
+when the defaults clash with local policy. A config that could not work
+(an unknown key, probe timing that cannot poll) is refused when it is
+built, before anything runs.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+
+from .errors import VulnwpError
 
 __all__ = ["DatabaseSpec", "SiteSpec", "GeneratorConfig"]
 
@@ -58,28 +62,48 @@ class GeneratorConfig:
     probe_interval: float = 10.0
     probe_timeout: float = 300.0
 
+    def __post_init__(self) -> None:
+        timing = (self.probe_interval, self.probe_timeout)
+        if not all(isinstance(t, (int, float)) for t in timing):
+            raise VulnwpError(f"probe_interval and probe_timeout must be numbers, got {timing}")
+        if self.probe_interval <= 0:
+            raise VulnwpError(f"probe_interval must be positive, got {self.probe_interval}")
+        if self.probe_timeout < self.probe_interval:
+            raise VulnwpError(
+                f"probe_timeout ({self.probe_timeout}) is shorter than probe_interval "
+                f"({self.probe_interval})"
+            )
+
     @classmethod
     def from_json(cls, path: Path | str) -> "GeneratorConfig":
         """Build a config from a JSON file of partial overrides.
 
         Top-level keys "database" and "site" take objects whose fields
         mirror the dataclasses; the remaining keys override the flat
-        fields. Unknown keys raise ValueError so typos do not silently
+        fields. Unknown keys, a file that is not a JSON object and probe
+        timing that cannot poll raise VulnwpError, so typos do not silently
         fall back to defaults.
         """
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise VulnwpError(f"config {path} is not valid JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise VulnwpError(f"config {path} must hold a JSON object")
         config = cls()
         for section, factory in (("database", DatabaseSpec), ("site", SiteSpec)):
             overrides = payload.pop(section, None)
             if overrides is None:
                 continue
+            if not isinstance(overrides, dict):
+                raise VulnwpError(f"config section {section} must be a JSON object")
             allowed = set(factory.__dataclass_fields__)
             unknown = set(overrides) - allowed
             if unknown:
-                raise ValueError(f"unknown {section} config keys: {sorted(unknown)}")
+                raise VulnwpError(f"unknown {section} config keys: {sorted(unknown)}")
             config = replace(config, **{section: replace(getattr(config, section), **overrides)})
         allowed = {"docroot", "readiness_path", "probe_interval", "probe_timeout"}
         unknown = set(payload) - allowed
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise VulnwpError(f"unknown config keys: {sorted(unknown)}")
         return replace(config, **payload)

@@ -1,12 +1,19 @@
 """Turn a resolution result into an on-disk container bundle.
 
-Each bundle directory holds exactly four generated files plus the copied
-component payloads:
+Each bundle directory holds exactly four generated files plus the
+component payloads under components/<slug>:
 
   Dockerfile          image build: FROM the resolved base, COPY components
   docker-compose.yml  two services (app, db) under a strict key subset
   setup.sh            post-boot site configuration, one command per step
   provenance.json     where everything came from, stable key order
+
+A bundle is built in a staging directory beside it, <out>/.<name>.partial,
+and renamed into place whole, replacing any earlier bundle of the same
+name; a failed emission leaves the earlier bundle as it was. Payloads
+fetched straight into the staging directory (see staging_dir) are not
+copied again. The rendered files are hashed from memory and only the
+payload files are read back.
 
 Emission is byte deterministic: the same plan and the same injected
 timestamp always produce identical files.
@@ -16,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shlex
 import shutil
 from dataclasses import dataclass
@@ -38,6 +46,7 @@ __all__ = [
     "FileDigest",
     "build_plan",
     "emit_bundle",
+    "staging_dir",
     "render_step_argv",
     "render_step_line",
     "app_image_name",
@@ -298,6 +307,16 @@ def _render_provenance(plan: EnvironmentPlan, generated_at: datetime) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def staging_dir(bundle_dir: Path | str) -> Path:
+    """The directory a bundle is built in before it is renamed into place.
+
+    A component fetched into <staging_dir>/components/<slug> becomes part
+    of the bundle without another copy.
+    """
+    bundle_dir = Path(bundle_dir)
+    return bundle_dir.with_name(f".{bundle_dir.name}.partial")
+
+
 def emit_bundle(
     plan: EnvironmentPlan,
     bundle_dir: Path | str,
@@ -307,10 +326,14 @@ def emit_bundle(
     """Write the bundle for a plan and return the manifest.
 
     generated_at lands in provenance.json; the same value makes two
-    emissions byte identical. Raises BundleWriteError when any file
-    cannot be written.
+    emissions byte identical. The bundle appears whole or not at all and
+    holds exactly what the plan names. Raises BundleWriteError when any
+    file cannot be written; the staging directory is then removed and an
+    earlier bundle stays in place.
     """
     bundle_dir = Path(bundle_dir)
+    staging = staging_dir(bundle_dir)
+    components_dir = staging / "components"
 
     rendered = {
         "Dockerfile": _render_dockerfile(plan),
@@ -318,27 +341,73 @@ def emit_bundle(
         "setup.sh": _render_setup_script(plan),
         "provenance.json": _render_provenance(plan, generated_at),
     }
+    digests = {}
     try:
-        bundle_dir.mkdir(parents=True, exist_ok=True)
+        staged = {c.slug for c in plan.components if c.payload_path == components_dir / c.slug}
+        if not staged:
+            _make_empty_dir(staging)
         for name, text in rendered.items():
-            target = bundle_dir / name
-            target.write_text(text, encoding="utf-8")
+            data = text.encode("utf-8")
+            target = staging / name
+            target.write_bytes(data)
             if name == "setup.sh":
                 target.chmod(0o755)
+            digests[name] = hashlib.sha256(data).hexdigest()
         for component in plan.components:
-            shutil.copytree(
-                component.payload_path,
-                bundle_dir / "components" / component.slug,
-                dirs_exist_ok=True,
-            )
+            if component.slug not in staged:
+                shutil.copytree(component.payload_path, components_dir / component.slug)
+        if plan.components:
+            digests.update(_hash_payloads(staging))
+        _swap_into_place(staging, bundle_dir)
     except OSError as exc:
+        shutil.rmtree(staging, ignore_errors=True)
         raise BundleWriteError(f"emitting bundle into {bundle_dir} failed: {exc}") from exc
 
-    digests = []
-    for path in sorted(p for p in bundle_dir.rglob("*") if p.is_file()):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        digests.append(FileDigest(path=path.relative_to(bundle_dir).as_posix(), sha256=digest))
-    return BundleManifest(bundle_dir=bundle_dir, files=tuple(digests))
+    ordered = sorted(digests, key=lambda path: path.split("/"))
+    return BundleManifest(
+        bundle_dir=bundle_dir,
+        files=tuple(FileDigest(path=path, sha256=digests[path]) for path in ordered),
+    )
+
+
+def _make_empty_dir(path: Path) -> None:
+    """Create path, first removing whatever a crashed run left there."""
+    try:
+        path.mkdir(parents=True)
+    except FileExistsError:
+        shutil.rmtree(path)
+        path.mkdir()
+
+
+def _hash_payloads(staging: Path) -> dict[str, str]:
+    """sha256 of every file under staging/components, keyed by its posix path below staging."""
+    digests = {}
+    skip = len(str(staging)) + 1
+    for folder, _, names in os.walk(staging / "components", onerror=_raise):
+        below = folder[skip:].replace(os.sep, "/")
+        for name in names:
+            with open(os.path.join(folder, name), "rb") as handle:
+                digests[f"{below}/{name}"] = hashlib.sha256(handle.read()).hexdigest()
+    return digests
+
+
+def _raise(error: OSError) -> None:
+    raise error
+
+
+def _swap_into_place(staging: Path, bundle_dir: Path) -> None:
+    """Rename staging to bundle_dir; an earlier bundle is moved aside, then removed."""
+    try:
+        os.replace(staging, bundle_dir)
+        return
+    except OSError:
+        if not bundle_dir.is_dir():
+            raise
+    aside = bundle_dir.with_name(f".{bundle_dir.name}.old")
+    shutil.rmtree(aside, ignore_errors=True)
+    os.replace(bundle_dir, aside)
+    os.replace(staging, bundle_dir)
+    shutil.rmtree(aside, ignore_errors=True)
 
 
 _SERVICE_KEYS = {"image", "environment", "ports", "depends_on"}

@@ -5,15 +5,18 @@ The control flow: classify the title; resolve the vulnerable version
 records with no version and no attached application stop early. Core
 exploits resolve a base image for their version; plugin and theme
 exploits fetch the extension payload through the ordered source
-fallback. Whatever resolves is emitted as a container bundle. In
-bootstrap mode the same call then builds the bundle's image, starts its
-stack, polls it ready and configures it, all through the injected
-executor and readiness client; any failure there is error-during-setup.
+fallback, straight into the bundle's staging directory. Whatever
+resolves is emitted as a container bundle, which is renamed into place
+whole. In bootstrap mode the same call then builds the bundle's image,
+starts its stack, polls it ready and configures it, all through the
+injected executor and readiness client; any failure there is
+error-during-setup.
 """
 
 from __future__ import annotations
 
 import logging
+import shutil
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -32,7 +35,7 @@ from .errors import (
     SetupStepFailedError,
     UnknownCveError,
 )
-from .iac import BundleManifest, EnvironmentPlan, FileDigest, build_plan, emit_bundle
+from .iac import BundleManifest, EnvironmentPlan, FileDigest, build_plan, emit_bundle, staging_dir
 from .resolvers import (
     ComponentKind,
     SourceClients,
@@ -163,12 +166,16 @@ class GenerationOutcome:
 
 @dataclass
 class PipelineServices:
-    """Clients, directories, and configuration one run operates with."""
+    """Clients, directories, and configuration one run operates with.
+
+    work_dir is not read: payloads are fetched into each bundle's staging
+    directory under out_dir. It is kept only for callers that still pass it.
+    """
 
     registry: TagIndex
     sources: SourceClients
     out_dir: Path
-    work_dir: Path
+    work_dir: Path | None = None
     cpe: CpeDictionary | None = None
     config: GeneratorConfig = field(default_factory=GeneratorConfig)
     clock: Clock = field(default_factory=SystemClock)
@@ -246,8 +253,9 @@ def generate(
     """Run the full per-record flow and encode the result as an outcome.
 
     All expected failures land in the outcome's reason; the call itself
-    does not raise for them. Until emission, nothing is written outside
-    the record's own scratch directory under the work dir.
+    does not raise for them. Until the bundle is renamed into place,
+    nothing is written outside its staging directory, <out>/.<edb_id>.partial,
+    which a failed fetch or emission removes again.
     """
     start = services.clock.monotonic()
 
@@ -264,6 +272,8 @@ def generate(
     parsed = parse_title(record.title)
     if parsed.category is ExploitCategory.UNCATEGORIZED:
         return failure(FailureReason.UNPARSABLE_TITLE)
+
+    bundle_dir = services.out_dir / str(record.edb_id)
 
     constraint = resolve_constraint(record, parsed, services.cpe)
     has_archive = record.app_archive is not None and record.app_archive.is_file()
@@ -291,7 +301,14 @@ def generate(
             slug = derive_slug(parsed.product or "")
         except EmptySlugError:
             return failure(FailureReason.NO_VULNERABLE_APPLICATION)
-        scratch = services.work_dir / str(record.edb_id) / "components" / slug
+        staging = staging_dir(bundle_dir)
+        # A leftover from a crashed run must not merge into the payload.
+        shutil.rmtree(staging, ignore_errors=True)
+        try:
+            services.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            logger.error("output directory for exploit %s unusable: %s", record.edb_id, exc)
+            return failure(FailureReason.ERROR_DURING_SETUP)
         try:
             component = fetch_component(
                 kind=_CATEGORY_TO_KIND[parsed.category],
@@ -299,11 +316,13 @@ def generate(
                 version=concrete_version(constraint),
                 record=record,
                 sources=services.sources,
-                dest=scratch,
+                dest=staging / "components" / slug,
             )
         except NoVulnerableApplicationError:
+            shutil.rmtree(staging, ignore_errors=True)
             return failure(FailureReason.NO_VULNERABLE_APPLICATION)
         except FetchError as exc:
+            shutil.rmtree(staging, ignore_errors=True)
             logger.warning("fetch for exploit %s broke: %s", record.edb_id, exc)
             return failure(FailureReason.FETCH_FAILURE)
         components = [component]
@@ -318,7 +337,6 @@ def generate(
         title=record.title,
         unused_app_archive=unused_archive,
     )
-    bundle_dir = services.out_dir / str(record.edb_id)
     try:
         manifest = emit_bundle(plan, bundle_dir, generated_at=services.clock.now())
     except BundleWriteError as exc:

@@ -98,7 +98,13 @@ class ComponentSource:
 
 @dataclass(frozen=True)
 class FetchedComponent:
-    """A materialized extension payload ready to copy into a bundle."""
+    """A materialized extension payload ready to copy into a bundle.
+
+    payload_path is where the payload was fetched to. When that is the
+    bundle's staging directory, it no longer exists once the bundle has
+    been renamed into place; the payload then lives under the bundle's
+    components/<slug>.
+    """
 
     kind: ComponentKind
     slug: str
@@ -221,6 +227,9 @@ class SvnMirror(ABC):
     def export(self, kind: ComponentKind, slug: str, version: Version | None, dest: Path) -> str | None:
         """Copy <slug>/tags/<version>/ (or trunk/ when version is None) into dest.
 
+        dest does not exist yet; the export creates it, so nothing already
+        on disk merges into the payload.
+
         Returns the locator that was exported on success, None on a miss.
         Unexpected failures while copying an existing tree raise FetchError.
         """
@@ -246,7 +255,7 @@ class DiskSvnMirror(SvnMirror):
         if not source.is_dir() or not any(source.iterdir()):
             return None
         try:
-            shutil.copytree(source, dest, dirs_exist_ok=True)
+            shutil.copytree(source, dest)
         except OSError as exc:
             raise FetchError(f"copying {source} failed: {exc}") from exc
         return str(source)
@@ -376,8 +385,8 @@ def extract_archive(archive: Path, dest: Path) -> None:
     Raises FetchError for corrupt or empty archives and extraction
     failures.
     """
-    dest.mkdir(parents=True, exist_ok=True)
     try:
+        dest.mkdir(parents=True, exist_ok=True)
         with zipfile.ZipFile(archive) as bundle:
             members = bundle.infolist()
             if not members:

@@ -84,11 +84,36 @@ class TestGenerateCommand:
     def test_bad_config_key_is_a_usage_error(self, e2e_tree, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"sitee": {}}), encoding="utf-8")
-        with pytest.raises(ValueError):
-            main(
-                base_args(e2e_tree, tmp_path / "out")
-                + ["--config", str(config), "generate", "--edb-id", "101"]
-            )
+        code = main(
+            base_args(e2e_tree, tmp_path / "out")
+            + ["--config", str(config), "generate", "--edb-id", "101"]
+        )
+        assert code == 1
+        assert "error: unknown config keys: ['sitee']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"site": {"http_portt": 80}}',
+            '{"site": 8080}',
+            '{"probe_interval": 0}',
+            '{"probe_interval": -1}',
+            '{"probe_interval": "10"}',
+            '{"probe_interval": 20, "probe_timeout": 10}',
+            "[]",
+            "{not json",
+        ],
+    )
+    def test_unusable_config_is_a_usage_error(self, e2e_tree, tmp_path, capsys, text):
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        code = main(
+            base_args(e2e_tree, tmp_path / "out")
+            + ["--config", str(config), "generate", "--edb-id", "101"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_fixture_registry_is_a_usage_error(self, e2e_tree, tmp_path, capsys):
         code = main(
@@ -152,6 +177,20 @@ class TestBootstrapMode:
         assert {cwd for _, cwd in executor.calls} == {out / "103"}
         assert len(readiness.calls) == 1
         assert len(fetches) == 1
+
+    def test_zero_probe_interval_fails_before_any_command(
+        self, e2e_tree, tmp_path, capsys, monkeypatch
+    ):
+        executor, readiness = self.fake_stack(monkeypatch)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"probe_interval": 0}), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(base_args(e2e_tree, out) + ["--config", str(config)] + self.GENERATE_103)
+        assert code == 1
+        assert "error: probe_interval must be positive" in capsys.readouterr().err
+        assert executor.calls == []
+        assert readiness.calls == []
+        assert not out.exists()
 
 
 class TestBatchAndStats:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from vulnwp.iac import (
     provenance_schema,
     render_step_argv,
     render_step_line,
+    staging_dir,
     validate_compose_subset,
 )
 from vulnwp.resolvers import (
@@ -49,6 +52,10 @@ def make_component(tmp_path: Path, slug: str, kind=ComponentKind.PLUGIN) -> Fetc
         source=ComponentSource(SourceKind.SVN_REPO, f"svn/{slug}/tags/1.0"),
         payload_path=payload,
     )
+
+
+def files_on_disk(root: Path) -> set[str]:
+    return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
 
 
 def core_plan(edb_id: int = 500) -> EnvironmentPlan:
@@ -280,6 +287,77 @@ class TestEmitBundle:
         blocker.write_text("a file, not a directory", encoding="utf-8")
         with pytest.raises(BundleWriteError):
             emit_bundle(core_plan(), blocker / "bundle", generated_at=STAMP)
+
+
+class TestExactAtomicEmission:
+    def test_reemit_drops_files_an_earlier_run_left(self, tmp_path):
+        bundle = tmp_path / "bundle"
+        (bundle / "components" / "old").mkdir(parents=True)
+        (bundle / "components" / "old" / "x.php").write_text("<?php // old\n", encoding="utf-8")
+        (bundle / "stale.txt").write_text("left over", encoding="utf-8")
+        manifest = emit_bundle(plugin_plan(tmp_path), bundle, generated_at=STAMP)
+        assert not (bundle / "stale.txt").exists()
+        assert not (bundle / "components" / "old").exists()
+        assert "stale.txt" not in manifest.digest_map()
+        assert "components/old/x.php" not in manifest.digest_map()
+        assert files_on_disk(bundle) == set(manifest.digest_map())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle", "payloads"]
+
+    def test_manifest_matches_the_files_on_disk(self, tmp_path):
+        payload = tmp_path / "payloads" / "nested"
+        (payload / "inc" / "deep").mkdir(parents=True)
+        (payload / "nested.php").write_bytes(b"<?php // top\n")
+        (payload / "inc" / "a.php").write_bytes(b"<?php // a\n")
+        (payload / "inc-extra.php").write_bytes(b"<?php // sorts after inc/ by path parts\n")
+        (payload / "inc" / "deep" / "b.js").write_bytes(bytes(range(256)))
+        component = replace(make_component(tmp_path, "nested"), payload_path=payload)
+        title = "WordPress Plugin Nested 1.0 - XSS"
+        plan = build_plan(parse_title(title), IMAGE, [component], CONFIG, edb_id=7, title=title)
+        bundle = tmp_path / "bundle"
+        manifest = emit_bundle(plan, bundle, generated_at=STAMP)
+        assert files_on_disk(bundle) == set(manifest.digest_map())
+        for entry in manifest.files:
+            assert entry.sha256 == hashlib.sha256((bundle / entry.path).read_bytes()).hexdigest()
+        assert [f.path for f in manifest.files] == sorted(
+            (f.path for f in manifest.files), key=lambda path: Path(path).parts
+        )
+
+    def test_failed_emission_keeps_the_earlier_bundle(self, tmp_path):
+        bundle = tmp_path / "bundle"
+        earlier = emit_bundle(plugin_plan(tmp_path), bundle, generated_at=STAMP)
+        broken = replace(make_component(tmp_path, "sample"), payload_path=tmp_path / "missing")
+        title = "WordPress Plugin Sample 1.0 - SQL Injection"
+        plan = build_plan(parse_title(title), IMAGE, [broken], CONFIG, edb_id=501, title=title)
+        with pytest.raises(BundleWriteError):
+            emit_bundle(plan, bundle, generated_at=datetime(2022, 1, 1, tzinfo=timezone.utc))
+        assert not staging_dir(bundle).exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle", "payloads"]
+        for entry in earlier.files:
+            assert hashlib.sha256((bundle / entry.path).read_bytes()).hexdigest() == entry.sha256
+
+    def test_leftover_staging_dir_is_cleared_first(self, tmp_path):
+        bundle = tmp_path / "bundle"
+        (staging_dir(bundle) / "components" / "ghost").mkdir(parents=True)
+        (staging_dir(bundle) / "components" / "ghost" / "g.php").write_text("x", encoding="utf-8")
+        manifest = emit_bundle(core_plan(), bundle, generated_at=STAMP)
+        assert set(manifest.digest_map()) == set(BUNDLE_FILES) == files_on_disk(bundle)
+        assert not staging_dir(bundle).exists()
+
+    def test_staged_payload_is_moved_not_copied(self, tmp_path, monkeypatch):
+        bundle = tmp_path / "bundle"
+        staged = staging_dir(bundle) / "components" / "sample"
+        staged.mkdir(parents=True)
+        (staged / "sample.php").write_text("<?php // staged\n", encoding="utf-8")
+        component = replace(make_component(tmp_path, "sample"), payload_path=staged)
+        title = "WordPress Plugin Sample 1.0 - SQL Injection"
+        plan = build_plan(parse_title(title), IMAGE, [component], CONFIG, edb_id=501, title=title)
+        copies = []
+        monkeypatch.setattr("vulnwp.iac.shutil.copytree", lambda *a, **k: copies.append(a))
+        manifest = emit_bundle(plan, bundle, generated_at=STAMP)
+        assert copies == []
+        assert (bundle / "components" / "sample" / "sample.php").read_text() == "<?php // staged\n"
+        assert files_on_disk(bundle) == set(manifest.digest_map())
+        assert not staging_dir(bundle).exists()
 
 
 class TestComposeSubset:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from vulnwp.bootstrap import ReadinessClient, SimulatedClock
-from vulnwp.iac import BUNDLE_FILES
+from vulnwp.iac import BUNDLE_FILES, staging_dir
 from vulnwp.pipeline import (
     FailureReason,
     GenerationMode,
@@ -16,6 +16,7 @@ from vulnwp.pipeline import (
     generate,
     resolve_constraint,
 )
+from vulnwp.resolvers import SvnMirror
 from vulnwp.titles import parse_title
 from vulnwp.versions import FixtureCpeDictionary, Version, VersionConstraint, parse_version_expr
 
@@ -176,18 +177,20 @@ class TestGenerateAcrossCorpus:
 
 
 class TestGenerateEdges:
-    def test_all_miss_record_leaves_nothing_under_work_dir(self, e2e_corpus, services):
+    def test_all_miss_record_leaves_nothing_under_out_dir(self, e2e_corpus, services):
         outcome = generate(e2e_corpus.records[106], services)
         assert outcome.reason is FailureReason.NO_VULNERABLE_APPLICATION
-        assert not services.work_dir.exists() or not any(services.work_dir.iterdir())
+        assert not services.out_dir.exists() or not any(services.out_dir.iterdir())
 
     def test_unwritable_out_dir_is_a_setup_error(self, e2e_tree, e2e_corpus, tmp_path):
         blocker = tmp_path / "out"
         blocker.write_text("file in the way", encoding="utf-8")
         services = e2e_tree.services(blocker, tmp_path / "work")
-        outcome = generate(e2e_corpus.records[101], services)
-        assert outcome.status is OutcomeStatus.FAILURE
-        assert outcome.reason is FailureReason.ERROR_DURING_SETUP
+        # A core record fails at emission, a plugin record before its fetch.
+        for edb_id in (101, 103):
+            outcome = generate(e2e_corpus.records[edb_id], services)
+            assert outcome.status is OutcomeStatus.FAILURE
+            assert outcome.reason is FailureReason.ERROR_DURING_SETUP, edb_id
 
     def test_bootstrap_mode_requires_clients(self, e2e_corpus, services):
         with pytest.raises(ValueError):
@@ -226,6 +229,79 @@ class TestGenerateEdges:
             e2e_corpus.records[103], services, mode=GenerationMode.EMIT_AND_BOOTSTRAP
         )
         assert outcome.reason is FailureReason.ERROR_DURING_SETUP
+
+
+class HollowSvnMirror(SvnMirror):
+    """Creates the export directory, then finds nothing to put in it."""
+
+    def export(self, kind, slug, version, dest):
+        dest.mkdir(parents=True)
+        return None
+
+
+class TestStagedEmission:
+    def test_miss_that_created_dest_leaves_nothing_under_out_dir(self, e2e_corpus, services):
+        services.sources.svn = HollowSvnMirror()
+        outcome = generate(e2e_corpus.records[106], services)
+        assert outcome.reason is FailureReason.NO_VULNERABLE_APPLICATION
+        assert not any(services.out_dir.iterdir())
+
+    def test_payload_is_fetched_into_the_staging_dir(self, e2e_corpus, services):
+        outcome = generate(e2e_corpus.records[103], services)
+        bundle = services.out_dir / "103"
+        component = outcome.plan.components[0]
+        assert component.payload_path == staging_dir(bundle) / "components" / component.slug
+        assert not component.payload_path.exists()
+        assert not staging_dir(bundle).exists()
+        on_disk = {p.relative_to(bundle).as_posix() for p in bundle.rglob("*") if p.is_file()}
+        assert on_disk == set(outcome.manifest.digest_map())
+        assert sorted(p.name for p in services.out_dir.iterdir()) == ["103"]
+
+    def test_regeneration_leaves_no_stale_files(self, e2e_corpus, services):
+        first = generate(e2e_corpus.records[103], services)
+        bundle = services.out_dir / "103"
+        (bundle / "stale.txt").write_text("left over", encoding="utf-8")
+        (bundle / "components" / "old").mkdir()
+        (bundle / "components" / "old" / "x.php").write_text("<?php\n", encoding="utf-8")
+        second = generate(e2e_corpus.records[103], services)
+        assert second.manifest.digest_map() == first.manifest.digest_map()
+        on_disk = {p.relative_to(bundle).as_posix() for p in bundle.rglob("*") if p.is_file()}
+        assert on_disk == set(second.manifest.digest_map())
+
+    def test_leftover_staging_dir_does_not_merge_into_the_payload(self, e2e_corpus, services):
+        clean = generate(e2e_corpus.records[103], services)
+        slug = clean.plan.components[0].slug
+        ghost = staging_dir(services.out_dir / "103") / "components" / slug / "ghost.php"
+        ghost.parent.mkdir(parents=True)
+        ghost.write_text("<?php // crashed run\n", encoding="utf-8")
+        again = generate(e2e_corpus.records[103], services)
+        assert again.manifest.digest_map() == clean.manifest.digest_map()
+
+    def test_fetch_failure_keeps_the_earlier_bundle(self, e2e_corpus, services):
+        earlier = services.out_dir / "116"
+        earlier.mkdir(parents=True)
+        (earlier / "Dockerfile").write_text("FROM wordpress:5.0\n", encoding="utf-8")
+        outcome = generate(e2e_corpus.records[116], services)
+        assert outcome.reason is FailureReason.FETCH_FAILURE
+        assert not staging_dir(earlier).exists()
+        assert sorted(p.name for p in services.out_dir.iterdir()) == ["116"]
+        assert [p.name for p in earlier.iterdir()] == ["Dockerfile"]
+        assert (earlier / "Dockerfile").read_text(encoding="utf-8") == "FROM wordpress:5.0\n"
+
+    def test_bundle_write_error_keeps_the_earlier_bundle(self, e2e_corpus, services, monkeypatch):
+        first = generate(e2e_corpus.records[103], services)
+        bundle = services.out_dir / "103"
+
+        def failing_swap(staging, target):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("vulnwp.iac._swap_into_place", failing_swap)
+        outcome = generate(e2e_corpus.records[103], services)
+        assert outcome.reason is FailureReason.ERROR_DURING_SETUP
+        assert not staging_dir(bundle).exists()
+        assert sorted(p.name for p in services.out_dir.iterdir()) == ["103"]
+        on_disk = {p.relative_to(bundle).as_posix() for p in bundle.rglob("*") if p.is_file()}
+        assert on_disk == set(first.manifest.digest_map())
 
 
 class TestOutcomeSerialization:
