@@ -4,14 +4,15 @@ Every credential here is a fixed, documented test value. Nothing is
 randomized; reproducing the same bundle twice must give identical bytes.
 Override any of it with a JSON config file (see GeneratorConfig.from_json)
 when the defaults clash with local policy. A config that could not work
-(an unknown key, probe timing that cannot poll) is refused when it is
-built, before anything runs.
+(an unknown key, probe timing that cannot poll, a port outside 1-65535,
+an empty or non-printable string that would break the emitted files) is
+refused when it is built, before anything runs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import VulnwpError
@@ -63,6 +64,20 @@ class GeneratorConfig:
     probe_timeout: float = 300.0
 
     def __post_init__(self) -> None:
+        port = self.site.http_port
+        if isinstance(port, bool) or not isinstance(port, int) or not 1 <= port <= 65535:
+            raise VulnwpError(f"site.http_port must be an integer from 1 to 65535, got {port!r}")
+        # These values end up in the bundle; the compose file and the
+        # Dockerfile carry them unquoted, where a line break or other
+        # control character would add keys or instructions.
+        texts = {"docroot": self.docroot, "readiness_path": self.readiness_path}
+        for section, spec in (("database", self.database), ("site", self.site)):
+            for spec_field in fields(spec):
+                if spec_field.name != "http_port":
+                    texts[f"{section}.{spec_field.name}"] = getattr(spec, spec_field.name)
+        for name, value in texts.items():
+            if not isinstance(value, str) or not value or not value.isprintable():
+                raise VulnwpError(f"{name} must be a non-empty printable string, got {value!r}")
         timing = (self.probe_interval, self.probe_timeout)
         if not all(isinstance(t, (int, float)) for t in timing):
             raise VulnwpError(f"probe_interval and probe_timeout must be numbers, got {timing}")
@@ -80,8 +95,8 @@ class GeneratorConfig:
 
         Top-level keys "database" and "site" take objects whose fields
         mirror the dataclasses; the remaining keys override the flat
-        fields. Unknown keys, a file that is not a JSON object and probe
-        timing that cannot poll raise VulnwpError, so typos do not silently
+        fields. Unknown keys, a file that is not a JSON object and values
+        __post_init__ refuses raise VulnwpError, so typos do not silently
         fall back to defaults.
         """
         try:

@@ -4,14 +4,18 @@ The on-disk layout mirrors a public exploit database dump: a CSV index
 (columns id, file, description, date, author, type, platform, and an
 optional codes column with semicolon separated CVE ids), PoC files
 referenced by relative path, and optional attached application archives
-named <edb_id>.zip.
+named <edb_id>.zip. A record keeps only the head of its PoC: the first
+POC_HEAD_LINES lines, which are all the header and version scans read.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import os
 import re
+import stat
+import sys
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -36,12 +40,19 @@ _CVE_TOKEN = re.compile(r"CVE-\d{4}-\d{4,}", re.IGNORECASE)
 # first lines of a PoC. Keys are short word sequences; the colon must be
 # followed by whitespace so URLs ("https://...") never read as keys.
 _HEADER_LINE = re.compile(r"^\s*#*\s*([A-Za-z][A-Za-z0-9 _/-]{0,39}?)\s*:\s+(\S.*?)\s*$")
-_HEADER_SCAN_LINES = 60
+
+# How many leading PoC lines a record keeps; the header scan here and the
+# version scan in versions.py read no further.
+POC_HEAD_LINES = 60
 
 
 @dataclass(frozen=True)
 class ExploitRecord:
-    """One exploit: index metadata, PoC text, and any attached archive."""
+    """One exploit: index metadata, PoC head, and any attached archive.
+
+    poc_text holds the first POC_HEAD_LINES lines of the PoC file, line
+    endings included, not the whole file.
+    """
 
     edb_id: int
     title: str
@@ -71,27 +82,32 @@ class Corpus:
         return iter(self.records.values())
 
 
-def _normalize_header_key(key: str) -> str:
-    return re.sub(r"\s+", "-", key.strip().lower())
-
-
 def parse_poc_header(poc_text: str) -> dict[str, str]:
     """Extract the conventional header block from PoC text.
 
-    Scans the first 60 lines for "# Key: value" or "Key: value" lines.
-    Keys are normalized to lower case with inner whitespace collapsed to
-    single hyphens, so "Software Link", "software link", and
-    "software-link" all address the same entry. Unrecognized keys are
-    retained; malformed lines are skipped; the first occurrence of a key
-    wins.
+    Scans the first POC_HEAD_LINES (60) lines for "# Key: value" or
+    "Key: value" lines. Keys are normalized to lower case with inner
+    whitespace collapsed to single hyphens, so "Software Link", "software
+    link", and "software-link" all address the same entry. Unrecognized
+    keys are retained; malformed lines are skipped; the first occurrence of
+    a key wins.
     """
+    return _scan_header(poc_text.splitlines()[:POC_HEAD_LINES])
+
+
+def _scan_header(lines: list[str]) -> dict[str, str]:
+    # A line may keep its line ending: the pattern's trailing \s* takes it.
     header: dict[str, str] = {}
-    for line in poc_text.splitlines()[:_HEADER_SCAN_LINES]:
+    for line in lines:
+        # Most lines have no colon, and the pattern needs one.
+        if ":" not in line:
+            continue
         match = _HEADER_LINE.match(line)
         if match is None:
             continue
-        key = _normalize_header_key(match.group(1))
-        if key and key not in header:
+        # The key class allows no whitespace but spaces.
+        key = sys.intern("-".join(match.group(1).lower().split()))
+        if key not in header:
             header[key] = match.group(2)
     return header
 
@@ -107,14 +123,19 @@ def _parse_cve_codes(codes: str | None) -> tuple[str, ...]:
     return tuple(found)
 
 
-def _parse_row(row: dict[str, str], row_number: int) -> tuple[int, str, date]:
+def _parse_row(row: dict[str, str | None], row_number: int) -> tuple[int, str, date]:
+    # DictReader fills the columns a short row lacks with None.
+    if None in row.values():
+        missing = sorted(column for column in _REQUIRED_COLUMNS if row[column] is None)
+        if missing:
+            raise IndexUnreadableError(f"row {row_number}: lacks columns: {', '.join(missing)}")
     try:
         edb_id = int(row["id"])
     except (TypeError, ValueError):
         raise IndexUnreadableError(f"row {row_number}: id {row.get('id')!r} is not an integer")
     try:
         published = date.fromisoformat(row["date"].strip())
-    except (AttributeError, ValueError):
+    except ValueError:
         raise IndexUnreadableError(f"row {row_number}: date {row.get('date')!r} is not ISO formatted")
     if published < EARLIEST_PUBLICATION:
         raise IndexUnreadableError(
@@ -123,19 +144,48 @@ def _parse_row(row: dict[str, str], row_number: int) -> tuple[int, str, date]:
     return edb_id, row["file"], published
 
 
+def _read_poc_head(path: str) -> list[str] | None:
+    """The first POC_HEAD_LINES lines of the PoC at path, line endings kept,
+    or None when it is not a regular file."""
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except (OSError, ValueError):
+        regular = False
+    if not regular:
+        # Settle the rare rest as pathlib does: it drops a trailing "/" and
+        # raises on stat errors other than a missing or looping path.
+        poc = Path(path)
+        if not poc.is_file():
+            return None
+        path = poc
+    with open(path, "rb") as handle:
+        text = handle.read().decode("utf-8", errors="replace")
+    return text.splitlines(keepends=True)[:POC_HEAD_LINES]
+
+
+def _list_names(directory: Path) -> set[str]:
+    """Entry names in directory; none when it is missing or not a directory."""
+    try:
+        return set(os.listdir(directory))
+    except (FileNotFoundError, NotADirectoryError):
+        return set()
+
+
 def load_corpus(index_path: Path | str, files_root: Path | str) -> Corpus:
     """Load a corpus from a CSV index and a tree of PoC files.
 
     The index's file column is relative to files_root; attached archives
-    are read from <files_root>/apps/<edb_id>.zip; the snapshot date is
-    today. A row whose PoC file is missing still yields a record (empty
-    poc_text) and a corpus warning. Raises IndexUnreadableError for a
-    missing or malformed index and DuplicateIdError when two rows share
-    an id.
+    are read from <files_root>/apps/<edb_id>.zip, a regular file or a link
+    to one; the snapshot date is today. Each record keeps the first
+    POC_HEAD_LINES lines of its PoC. A row whose PoC file is missing (or is
+    not a regular file) still yields a record (empty poc_text) and a corpus
+    warning. Raises IndexUnreadableError for a missing or malformed index,
+    including a row that lacks a required column, and DuplicateIdError when
+    two rows share an id.
     """
     index_path = Path(index_path)
-    files_root = Path(files_root)
-    apps_root = files_root / "apps"
+    root = os.fspath(files_root)
+    apps_root = Path(root, "apps")
 
     try:
         with index_path.open(newline="", encoding="utf-8-sig") as handle:
@@ -150,6 +200,7 @@ def load_corpus(index_path: Path | str, files_root: Path | str) -> Corpus:
     except csv.Error as exc:
         raise IndexUnreadableError(f"index {index_path} is not valid CSV: {exc}") from exc
 
+    app_names = _list_names(apps_root)
     records: dict[int, ExploitRecord] = {}
     warnings: list[str] = []
     for row_number, row in enumerate(rows, start=2):
@@ -157,26 +208,25 @@ def load_corpus(index_path: Path | str, files_root: Path | str) -> Corpus:
         if edb_id in records:
             raise DuplicateIdError(f"exploit id {edb_id} appears more than once in {index_path}")
 
-        poc_path = files_root / rel_file
-        if poc_path.is_file():
-            poc_text = poc_path.read_bytes().decode("utf-8", errors="replace")
-        else:
-            poc_text = ""
+        poc_lines = _read_poc_head(os.path.join(root, rel_file))
+        if poc_lines is None:
+            poc_lines = []
             warnings.append(f"{edb_id}: PoC file {rel_file} missing, record loaded without text")
             logger.warning("PoC file %s missing for exploit %s", rel_file, edb_id)
 
-        archive = apps_root / f"{edb_id}.zip"
+        archive_name = f"{edb_id}.zip"
+        archive = apps_root / archive_name if archive_name in app_names else None
         records[edb_id] = ExploitRecord(
             edb_id=edb_id,
             title=row["description"].strip(),
-            author=row["author"].strip(),
-            vuln_type=row["type"].strip(),
+            author=sys.intern(row["author"].strip()),
+            vuln_type=sys.intern(row["type"].strip()),
             published=published,
-            platform=row["platform"].strip(),
+            platform=sys.intern(row["platform"].strip()),
             cve_ids=_parse_cve_codes(row.get("codes")),
-            poc_text=poc_text,
-            poc_header=parse_poc_header(poc_text),
-            app_archive=archive if archive.is_file() else None,
+            poc_text="".join(poc_lines),
+            poc_header=_scan_header(poc_lines),
+            app_archive=archive if archive is not None and archive.is_file() else None,
         )
 
     return Corpus(
@@ -185,4 +235,3 @@ def load_corpus(index_path: Path | str, files_root: Path | str) -> Corpus:
         snapshot_date=date.today(),
         warnings=warnings,
     )
-

@@ -22,12 +22,9 @@ from enum import Enum
 from functools import cached_property, total_ordering
 from itertools import zip_longest
 from pathlib import Path
-from typing import TYPE_CHECKING
 
+from .corpus import POC_HEAD_LINES, ExploitRecord
 from .errors import DictionaryUnavailableError, UnknownCveError, UnparsableVersionError
-
-if TYPE_CHECKING:
-    from .corpus import ExploitRecord
 
 logger = logging.getLogger(__name__)
 
@@ -42,8 +39,6 @@ _POC_VERSION_HINT = re.compile(
     r"(?<![a-z])version[:\s]\s*((?:<=|<)\s*)?(\d+(?:\.\d+)*(?:\s*/\s*\d+(?:\.\d+)*)*)",
     re.IGNORECASE,
 )
-
-_POC_SCAN_LINES = 60
 
 
 @total_ordering
@@ -199,13 +194,14 @@ def parse_version_expr(expr: str, lenient: bool = False) -> VersionConstraint:
     raise UnparsableVersionError(f"not a version expression: {expr!r}")
 
 
-def extract_version_from_poc(record: "ExploitRecord") -> VersionConstraint | None:
+def extract_version_from_poc(record: ExploitRecord) -> VersionConstraint | None:
     """Pull a version constraint out of a PoC, header first.
 
     The parsed header's "version" value wins when present and parsable.
-    Otherwise the first 60 lines of the raw PoC text are scanned for the
-    word "version" followed by a colon or whitespace and an expression in
-    the constraint grammar. Returns None when neither source yields one.
+    Otherwise the first POC_HEAD_LINES (60) lines of the PoC text, all a
+    loaded record keeps, are scanned for the word "version" followed by a
+    colon or whitespace and an expression in the constraint grammar.
+    Returns None when neither source yields one.
     """
     header_value = record.poc_header.get("version")
     if header_value:
@@ -214,7 +210,7 @@ def extract_version_from_poc(record: "ExploitRecord") -> VersionConstraint | Non
         except UnparsableVersionError:
             logger.debug("header version %r unparsable, falling back to body scan", header_value)
 
-    for line in record.poc_text.splitlines()[:_POC_SCAN_LINES]:
+    for line in record.poc_text.splitlines()[:POC_HEAD_LINES]:
         hit = _POC_VERSION_HINT.search(line)
         if hit is None:
             continue

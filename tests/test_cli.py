@@ -115,6 +115,35 @@ class TestGenerateCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"site": {"http_port": "80:80\n    privileged: true"}},
+            {"database": {"password": "wordpress\nMYSQL_ALLOW_EMPTY_PASSWORD: 1"}},
+            {"site": {"http_port": "8080"}},
+            {"site": {"http_port": True}},
+            {"site": {"http_port": 0}},
+            {"site": {"http_port": 65536}},
+            {"site": {"admin_user": ""}},
+            {"docroot": "/var/www/html\x00"},
+            {"readiness_path": "/wp-admin/install.php\r\n"},
+        ],
+    )
+    def test_value_that_would_break_the_bundle_is_refused(
+        self, e2e_tree, tmp_path, capsys, overrides
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(overrides), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(
+            base_args(e2e_tree, out) + ["--config", str(config), "generate", "--edb-id", "103"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_missing_fixture_registry_is_a_usage_error(self, e2e_tree, tmp_path, capsys):
         code = main(
             [
@@ -228,3 +257,15 @@ class TestBatchAndStats:
             base_args(e2e_tree, tmp_path / "out") + ["stats", str(tmp_path / "absent.ndjson")]
         )
         assert code == 1
+
+    def test_index_row_short_of_columns_is_a_usage_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "files_exploits.csv").write_text(
+            "id,file,description,date,author,type,platform,codes\n"
+            "1,x.txt,WordPress Core 4.7 - XSS,2017-01-01\n",
+            encoding="utf-8",
+        )
+        code = main(["--corpus", str(corpus), "stats", str(tmp_path / "absent.ndjson")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: row 2: lacks columns: author, platform, type\n"

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import csv
+import re
+import tempfile
 from datetime import date
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vulnwp.corpus import load_corpus, parse_poc_header
+from vulnwp.corpus import POC_HEAD_LINES, load_corpus, parse_poc_header
 from vulnwp.errors import DuplicateIdError, IndexUnreadableError
+from vulnwp.versions import Version, VersionConstraint, extract_version_from_poc
 
 INDEX_COLUMNS = ["id", "file", "description", "date", "author", "type", "platform", "codes"]
 
@@ -33,6 +38,19 @@ def row(edb_id: int, **overrides) -> dict:
     }
     base.update(overrides)
     return base
+
+
+def write_poc(root: Path, edb_id: int, text: str) -> None:
+    path = root / "exploits" / f"{edb_id}.txt"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(text.encode("utf-8"))
+
+
+def load_one(root: Path, text: str | None = None, **overrides):
+    """Load a one-row corpus under root; text, when given, is the PoC of id 1."""
+    if text is not None:
+        write_poc(root, 1, text)
+    return load_corpus(write_index(root / "files_exploits.csv", [row(1, **overrides)]), root)
 
 
 class TestLoadCorpus:
@@ -96,12 +114,149 @@ class TestLoadCorpus:
         with pytest.raises(IndexUnreadableError):
             load_corpus(index, tmp_path)
 
+    @pytest.mark.parametrize(
+        "line, missing",
+        [
+            ("1,x.txt,WordPress Core 4.7 - XSS,2017-01-01", "author, platform, type"),
+            ("1,x.txt", "author, date, description, platform, type"),
+        ],
+    )
+    def test_short_row_names_the_row_and_its_missing_columns(self, tmp_path, line, missing):
+        path = tmp_path / "files_exploits.csv"
+        full = "1,exploits/1.txt,Title,2018-03-05,a,webapps,php,"
+        path.write_text(",".join(INDEX_COLUMNS) + f"\n{full}\n{line}\n", encoding="utf-8")
+        with pytest.raises(IndexUnreadableError) as excinfo:
+            load_corpus(path, tmp_path)
+        assert str(excinfo.value) == f"row 3: lacks columns: {missing}"
+
+    def test_row_without_the_optional_codes_column_loads(self, tmp_path):
+        path = tmp_path / "files_exploits.csv"
+        path.write_text(",".join(INDEX_COLUMNS) + "\n1,x.txt,Title,2018-03-05,a,webapps,php\n")
+        corpus = load_corpus(path, tmp_path)
+        assert corpus.records[1].cve_ids == ()
+
+    def test_poc_path_that_is_a_directory_warns_and_loads(self, tmp_path):
+        (tmp_path / "exploits" / "1.txt").mkdir(parents=True)
+        corpus = load_one(tmp_path)
+        assert corpus.records[1].poc_text == ""
+        assert corpus.records[1].poc_header == {}
+        assert corpus.warnings == ["1: PoC file exploits/1.txt missing, record loaded without text"]
+
+    def test_record_keeps_the_first_lines_with_their_endings(self, tmp_path):
+        endings = ["\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028"]
+        lines = [f"line {n}: text{endings[n % len(endings)]}" for n in range(200)]
+        corpus = load_one(tmp_path, "".join(lines))
+        poc_text = corpus.records[1].poc_text
+        assert POC_HEAD_LINES == 60
+        assert poc_text == "".join(lines[:60])
+        assert poc_text.splitlines(keepends=True) == lines[:60]
+
+    def test_header_and_version_hint_on_the_last_kept_line_are_read(self, tmp_path):
+        filler = "filler\n" * (POC_HEAD_LINES - 1)
+        header = load_one(tmp_path / "a", filler + "# Version: 3.2\n").records[1]
+        assert header.poc_header == {"version": "3.2"}
+        assert extract_version_from_poc(header) == VersionConstraint.exact(Version.parse("3.2"))
+        body = load_one(tmp_path / "b", filler + "tested version 3.2\n").records[1]
+        assert body.poc_header == {}
+        assert extract_version_from_poc(body) == VersionConstraint.exact(Version.parse("3.2"))
+
+    def test_header_and_version_hint_past_the_kept_lines_are_not(self, tmp_path):
+        filler = "filler\n" * POC_HEAD_LINES
+        for sub, hint in (("a", "# Version: 3.2\n"), ("b", "tested version 3.2\n")):
+            record = load_one(tmp_path / sub, filler + hint).records[1]
+            assert record.poc_text == filler
+            assert record.poc_header == {}
+            assert extract_version_from_poc(record) is None
+
     def test_utf8_bom_index_loads(self, tmp_path):
         path = tmp_path / "files_exploits.csv"
         body = ",".join(INDEX_COLUMNS) + "\n1,exploits/1.txt,Title,2018-03-05,a,webapps,php,\n"
         path.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
         corpus = load_corpus(path, tmp_path)
         assert set(corpus.records) == {1}
+
+
+class TestAppArchives:
+    def test_no_apps_dir_means_no_archives(self, tmp_path):
+        assert load_one(tmp_path).records[1].app_archive is None
+
+    def test_apps_as_a_file_means_no_archives(self, tmp_path):
+        (tmp_path / "apps").write_bytes(b"not a directory")
+        assert load_one(tmp_path).records[1].app_archive is None
+
+    def test_zip_name_on_a_directory_is_not_an_archive(self, tmp_path):
+        (tmp_path / "apps" / "1.zip").mkdir(parents=True)
+        assert load_one(tmp_path).records[1].app_archive is None
+
+    def test_symlinked_zip_is_an_archive(self, tmp_path):
+        (tmp_path / "apps").mkdir()
+        (tmp_path / "elsewhere.zip").write_bytes(b"PK")
+        (tmp_path / "apps" / "1.zip").symlink_to(tmp_path / "elsewhere.zip")
+        assert load_one(tmp_path).records[1].app_archive == tmp_path / "apps" / "1.zip"
+
+    def test_dangling_symlink_is_not_an_archive(self, tmp_path):
+        (tmp_path / "apps").mkdir()
+        (tmp_path / "apps" / "1.zip").symlink_to(tmp_path / "gone.zip")
+        assert load_one(tmp_path).records[1].app_archive is None
+
+    def test_only_the_records_own_id_matches(self, tmp_path):
+        (tmp_path / "apps").mkdir()
+        for name in ("10.zip", "1.zip.bak", "1.ZIP"):
+            (tmp_path / "apps" / name).write_bytes(b"PK")
+        assert load_one(tmp_path).records[1].app_archive is None
+
+
+# Reference header scan: every line goes through the regex and keys are
+# normalised with re.sub. The loader's scan must agree with it exactly.
+_REFERENCE_HEADER_LINE = re.compile(r"^\s*#*\s*([A-Za-z][A-Za-z0-9 _/-]{0,39}?)\s*:\s+(\S.*?)\s*$")
+
+
+def reference_parse_poc_header(poc_text: str) -> dict[str, str]:
+    header: dict[str, str] = {}
+    for line in poc_text.splitlines()[:60]:
+        match = _REFERENCE_HEADER_LINE.match(line)
+        if match is None:
+            continue
+        key = re.sub(r"\s+", "-", match.group(1).strip().lower())
+        if key and key not in header:
+            header[key] = match.group(2)
+    return header
+
+
+_LINE_ENDINGS = ["", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\n" * 25]
+_header_like_lines = st.tuples(
+    st.sampled_from(["", "#", "# ", " \t#", "## ", "\u00a0#"]),
+    st.sampled_from(
+        ["Version", "Software Link", "software   link", "Tested on", "a/b-c_d", "9bad", "",
+         "A" * 39, "B" * 40, "C" * 41, "https", "x y z "]
+    ),
+    st.sampled_from([":", ": ", " : ", ":\t", ":\u00a0", ":\u3000", ":\x0b", "://", "::", " "]),
+    st.sampled_from(["", "7.1.3", " 1.0 ", "//example.test/a:b", "é", "\u2003x", "<= 2.0\t"]),
+    st.sampled_from(_LINE_ENDINGS),
+).map("".join)
+_poc_texts = st.lists(
+    st.one_of(
+        _header_like_lines,
+        st.sampled_from(_LINE_ENDINGS),
+        st.text(alphabet="#: \t\r\n\x0b\x1cAz9_/-.\u00a0\u2028", max_size=6),
+    ),
+    max_size=80,
+).map("".join)
+
+
+class TestHeaderScanMatchesReference:
+    @given(_poc_texts)
+    def test_parse_poc_header(self, text):
+        assert parse_poc_header(text) == reference_parse_poc_header(text)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_poc_texts)
+    def test_loaded_record(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            record = load_one(Path(tmp), text).records[1]
+        assert record.poc_header == reference_parse_poc_header(text)
+        assert record.poc_text == "".join(text.splitlines(keepends=True)[:60])
+        assert record.poc_text.splitlines() == text.splitlines()[:60]
 
 
 class TestPocHeader:
