@@ -4,8 +4,10 @@ The on-disk layout mirrors a public exploit database dump: a CSV index
 (columns id, file, description, date, author, type, platform, and an
 optional codes column with semicolon separated CVE ids), PoC files
 referenced by relative path, and optional attached application archives
-named <edb_id>.zip. A record keeps only the head of its PoC: the first
+named <edb_id>.zip. Only the head of a PoC is read: the first
 POC_HEAD_LINES lines, which are all the header and version scans read.
+The header is parsed from the head at load; the head itself is kept only
+when the version body scan could match in it (see ExploitRecord).
 """
 
 from __future__ import annotations
@@ -50,8 +52,13 @@ POC_HEAD_LINES = 60
 class ExploitRecord:
     """One exploit: index metadata, PoC head, and any attached archive.
 
-    poc_text holds the first POC_HEAD_LINES lines of the PoC file, line
-    endings included, not the whole file.
+    poc_header is parsed from the first POC_HEAD_LINES lines of the PoC
+    file. poc_text holds those lines, line endings included, when the
+    version body scan could match in them: the head is not ASCII, or it
+    holds "version" in any case. Otherwise poc_text is empty, which gives
+    the same scan result. A non-ASCII head is always kept because the
+    case-insensitive scan also matches spellings such as "verſion" or
+    "versıon", which lower() does not turn into "version".
     """
 
     edb_id: int
@@ -144,9 +151,9 @@ def _parse_row(row: dict[str, str | None], row_number: int) -> tuple[int, str, d
     return edb_id, row["file"], published
 
 
-def _read_poc_head(path: str) -> list[str] | None:
+def _read_poc_head(path: str) -> tuple[str, list[str]] | None:
     """The first POC_HEAD_LINES lines of the PoC at path, line endings kept,
-    or None when it is not a regular file."""
+    as one text and as lines, or None when it is not a regular file."""
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)
     except (OSError, ValueError):
@@ -158,9 +165,21 @@ def _read_poc_head(path: str) -> list[str] | None:
         if not poc.is_file():
             return None
         path = poc
-    with open(path, "rb") as handle:
+    # The whole file is read in one call, so a read buffer only costs time.
+    with open(path, "rb", buffering=0) as handle:
         text = handle.read().decode("utf-8", errors="replace")
-    return text.splitlines(keepends=True)[:POC_HEAD_LINES]
+    lines = text.splitlines(keepends=True)
+    if len(lines) > POC_HEAD_LINES:
+        del lines[POC_HEAD_LINES:]
+        text = "".join(lines)
+    return text, lines
+
+
+def _body_scan_can_match(head: str) -> bool:
+    # The version body scan is case-insensitive, so on ASCII text it can
+    # match only where lower() shows "version". It also folds ſ, ı and İ,
+    # so a non-ASCII head may match without that; isascii() is O(1).
+    return not head.isascii() or "version" in head.lower()
 
 
 def _list_names(directory: Path) -> set[str]:
@@ -176,8 +195,10 @@ def load_corpus(index_path: Path | str, files_root: Path | str) -> Corpus:
 
     The index's file column is relative to files_root; attached archives
     are read from <files_root>/apps/<edb_id>.zip, a regular file or a link
-    to one; the snapshot date is today. Each record keeps the first
-    POC_HEAD_LINES lines of its PoC. A row whose PoC file is missing (or is
+    to one; the snapshot date is today. Each record's header is parsed
+    from the first POC_HEAD_LINES lines of its PoC, and those lines are
+    kept as poc_text only when the version body scan could match in them
+    (see ExploitRecord). A row whose PoC file is missing (or is
     not a regular file) still yields a record (empty poc_text) and a corpus
     warning. Raises IndexUnreadableError for a missing or malformed index,
     including a row that lacks a required column, and DuplicateIdError when
@@ -208,11 +229,12 @@ def load_corpus(index_path: Path | str, files_root: Path | str) -> Corpus:
         if edb_id in records:
             raise DuplicateIdError(f"exploit id {edb_id} appears more than once in {index_path}")
 
-        poc_lines = _read_poc_head(os.path.join(root, rel_file))
-        if poc_lines is None:
-            poc_lines = []
+        head = _read_poc_head(os.path.join(root, rel_file))
+        if head is None:
+            head = "", []
             warnings.append(f"{edb_id}: PoC file {rel_file} missing, record loaded without text")
             logger.warning("PoC file %s missing for exploit %s", rel_file, edb_id)
+        head_text, head_lines = head
 
         archive_name = f"{edb_id}.zip"
         archive = apps_root / archive_name if archive_name in app_names else None
@@ -224,8 +246,8 @@ def load_corpus(index_path: Path | str, files_root: Path | str) -> Corpus:
             published=published,
             platform=sys.intern(row["platform"].strip()),
             cve_ids=_parse_cve_codes(row.get("codes")),
-            poc_text="".join(poc_lines),
-            poc_header=_scan_header(poc_lines),
+            poc_text=head_text if _body_scan_can_match(head_text) else "",
+            poc_header=_scan_header(head_lines),
             app_archive=archive if archive is not None and archive.is_file() else None,
         )
 

@@ -188,11 +188,16 @@ def parse_report_json(text: str) -> BatchReport:
     )
 
 
+# json.dumps(..., sort_keys=True) builds a new encoder per call; one
+# encoder with the same settings serves every row.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def write_outcomes(outcomes: Iterable[GenerationOutcome], path: Path | str) -> None:
     """Persist outcomes as newline-delimited JSON, one object per line."""
     with Path(path).open("w", encoding="utf-8") as handle:
         for outcome in outcomes:
-            handle.write(json.dumps(outcome.to_json_dict(), sort_keys=True))
+            handle.write(_ROW_ENCODER.encode(outcome.to_json_dict()))
             handle.write("\n")
 
 

@@ -34,7 +34,8 @@ _SET_EXPR = re.compile(r"\d+(?:\.\d+)*(?:\s*/\s*\d+(?:\.\d+)*)*\s*$")
 
 # Case-insensitive "version" hint in PoC text: the word (not a suffix of a
 # longer word such as "conversion"), a colon or whitespace, then an
-# expression in the constraint grammar.
+# expression in the constraint grammar. The corpus loader drops a PoC head
+# this cannot match in (corpus._body_scan_can_match); keep the two in step.
 _POC_VERSION_HINT = re.compile(
     r"(?<![a-z])version[:\s]\s*((?:<=|<)\s*)?(\d+(?:\.\d+)*(?:\s*/\s*\d+(?:\.\d+)*)*)",
     re.IGNORECASE,
@@ -198,10 +199,13 @@ def extract_version_from_poc(record: ExploitRecord) -> VersionConstraint | None:
     """Pull a version constraint out of a PoC, header first.
 
     The parsed header's "version" value wins when present and parsable.
-    Otherwise the first POC_HEAD_LINES (60) lines of the PoC text, all a
-    loaded record keeps, are scanned for the word "version" followed by a
-    colon or whitespace and an expression in the constraint grammar.
-    Returns None when neither source yields one.
+    Otherwise the first POC_HEAD_LINES (60) lines of the PoC text are
+    scanned, case-insensitively, for the word "version" followed by a
+    colon or whitespace and an expression in the constraint grammar. A
+    loaded record keeps that text only when this scan could match in it
+    (a non-ASCII head, or one holding "version" in any case), so an empty
+    poc_text gives the same result. Returns None when neither source
+    yields one.
     """
     header_value = record.poc_header.get("version")
     if header_value:

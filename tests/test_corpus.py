@@ -14,6 +14,8 @@ from vulnwp.corpus import POC_HEAD_LINES, load_corpus, parse_poc_header
 from vulnwp.errors import DuplicateIdError, IndexUnreadableError
 from vulnwp.versions import Version, VersionConstraint, extract_version_from_poc
 
+from conftest import make_record
+
 INDEX_COLUMNS = ["id", "file", "description", "date", "author", "type", "platform", "codes"]
 
 
@@ -143,6 +145,7 @@ class TestLoadCorpus:
         assert corpus.warnings == ["1: PoC file exploits/1.txt missing, record loaded without text"]
 
     def test_record_keeps_the_first_lines_with_their_endings(self, tmp_path):
+        # The U+2028 ending makes the head non-ASCII, so it is kept.
         endings = ["\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028"]
         lines = [f"line {n}: text{endings[n % len(endings)]}" for n in range(200)]
         corpus = load_one(tmp_path, "".join(lines))
@@ -161,12 +164,35 @@ class TestLoadCorpus:
         assert extract_version_from_poc(body) == VersionConstraint.exact(Version.parse("3.2"))
 
     def test_header_and_version_hint_past_the_kept_lines_are_not(self, tmp_path):
-        filler = "filler\n" * POC_HEAD_LINES
-        for sub, hint in (("a", "# Version: 3.2\n"), ("b", "tested version 3.2\n")):
-            record = load_one(tmp_path / sub, filler + hint).records[1]
-            assert record.poc_text == filler
-            assert record.poc_header == {}
-            assert extract_version_from_poc(record) is None
+        # A head without "version" is not kept; one with it is kept whole.
+        for filler, kept in (("filler\n", ""), ("see the version notes\r\n", None)):
+            head = filler * POC_HEAD_LINES
+            for sub, hint in (("a", "# Version: 3.2\n"), ("b", "tested version 3.2\n")):
+                record = load_one(tmp_path / f"{sub}{len(filler)}", head + hint).records[1]
+                assert record.poc_text == (head if kept is None else kept)
+                assert record.poc_header == {}
+                assert extract_version_from_poc(record) is None
+
+    def test_head_without_version_is_not_kept(self, tmp_path):
+        record = load_one(tmp_path, "# Exploit Title: x\n# Tested on: Linux\nvers ion 1.0\n").records[1]
+        assert record.poc_text == ""
+        assert record.poc_header == {"exploit-title": "x", "tested-on": "Linux"}
+
+    def test_short_poc_is_kept_as_read(self, tmp_path):
+        text = "a\r\nVERSION 2.1\rno ending"
+        record = load_one(tmp_path, text).records[1]
+        assert record.poc_text == text
+        assert extract_version_from_poc(record) == VersionConstraint.exact(Version.parse("2.1"))
+
+    @pytest.mark.parametrize("spelling", ["ver\u017fion", "vers\u0131on", "VERS\u0130ON"])
+    def test_non_ascii_head_is_kept_although_lower_shows_no_version(self, tmp_path, spelling):
+        # The scan folds these letters into "version"; lower() does not, so
+        # a check on lower() alone would drop the head and lose the version.
+        text = f"Tested on {spelling} 4.2\n"
+        assert "version" not in text.lower()
+        record = load_one(tmp_path, text).records[1]
+        assert record.poc_text == text
+        assert extract_version_from_poc(record) == VersionConstraint.exact(Version.parse("4.2"))
 
     def test_utf8_bom_index_loads(self, tmp_path):
         path = tmp_path / "files_exploits.csv"
@@ -243,6 +269,30 @@ _poc_texts = st.lists(
     max_size=80,
 ).map("".join)
 
+# Looser than the body scan: a line it does not match, the scan cannot.
+_REFERENCE_VERSION_HINT = re.compile(r"version[:\s]", re.IGNORECASE)
+
+# Spellings the case-insensitive body scan reads as "version" (the last
+# three fold ſ, ı and İ), mixed with near misses, colons, line endings and
+# enough leading lines to push a hint past line 60.
+_version_lines = st.tuples(
+    st.sampled_from(["", "# ", "Tested ", "x", "#  "]),
+    st.sampled_from(
+        ["version", "VERSION", "VeRsIoN", "ver\u017fion", "vers\u0131on", "VERS\u0130ON", "vers ion",
+         "versions"]
+    ),
+    st.sampled_from(["", ":", ": ", " ", ":\t", " <= ", ": < ", "\u00a0", "::"]),
+    st.sampled_from(["", "4.7", "1.0 / 2.1", "x", "3-beta", "9.9.9"]),
+    st.sampled_from(_LINE_ENDINGS),
+).map("".join)
+_version_texts = st.tuples(
+    st.integers(min_value=0, max_value=70).map(lambda n: "filler: x\n" * n),
+    st.lists(
+        st.one_of(_version_lines, st.sampled_from(_LINE_ENDINGS), st.sampled_from(["a: b", "ver", "sion"])),
+        max_size=20,
+    ).map("".join),
+).map("".join)
+
 
 class TestHeaderScanMatchesReference:
     @given(_poc_texts)
@@ -255,8 +305,22 @@ class TestHeaderScanMatchesReference:
         with tempfile.TemporaryDirectory() as tmp:
             record = load_one(Path(tmp), text).records[1]
         assert record.poc_header == reference_parse_poc_header(text)
-        assert record.poc_text == "".join(text.splitlines(keepends=True)[:60])
-        assert record.poc_text.splitlines() == text.splitlines()[:60]
+        head = "".join(text.splitlines(keepends=True)[:60])
+        kept = not head.isascii() or "version" in head.lower()
+        assert record.poc_text == (head if kept else "")
+        if kept:
+            assert record.poc_text.splitlines() == text.splitlines()[:60]
+        else:
+            assert not any(_REFERENCE_VERSION_HINT.search(line) for line in head.splitlines())
+
+    @settings(max_examples=80, deadline=None)
+    @given(_version_texts)
+    def test_version_scan_reads_as_on_the_full_head(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded = load_one(Path(tmp), text).records[1]
+        head = "".join(text.splitlines(keepends=True)[:60])
+        full = make_record(edb_id=1, poc_text=head, header=reference_parse_poc_header(text))
+        assert extract_version_from_poc(loaded) == extract_version_from_poc(full)
 
 
 class TestPocHeader:

@@ -145,3 +145,21 @@ class TestOutcomePersistence:
         assert len(lines) == len(outcomes)
         first = json.loads(lines[0])
         assert first["edb_id"] == outcomes[0].edb_id
+
+    def test_file_matches_per_row_json_dumps_byte_for_byte(self, batch, tmp_path):
+        import json
+
+        _, outcomes = batch
+        extra = GenerationOutcome.from_json_dict(
+            {
+                "edb_id": 99,
+                "status": "success",
+                "elapsed": float("nan"),
+                "bundle": {"dir": "/out/ü\u2028\"99", "files": {"z": "1", "a": "é"}},
+            }
+        )
+        rows = [*outcomes, extra]
+        path = tmp_path / "outcomes.ndjson"
+        write_outcomes(rows, path)
+        expected = "".join(json.dumps(o.to_json_dict(), sort_keys=True) + "\n" for o in rows)
+        assert path.read_bytes() == expected.encode("utf-8")
