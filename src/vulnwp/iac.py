@@ -12,8 +12,10 @@ A bundle is built in a staging directory beside it, <out>/.<name>.partial,
 and renamed into place whole, replacing any earlier bundle of the same
 name; a failed emission leaves the earlier bundle as it was. Payloads
 fetched straight into the staging directory (see staging_dir) are not
-copied again. The rendered files are hashed from memory and only the
-payload files are read back.
+copied again. The four rendered files are written with plain descriptor
+writes (os.open, then os.write until every byte is out), and setup.sh
+gets its executable mode on its open descriptor; they are hashed from
+memory and only the payload files are read back.
 
 Emission is byte deterministic: the same plan and the same injected
 timestamp always produce identical files.
@@ -327,8 +329,10 @@ def emit_bundle(
 
     generated_at lands in provenance.json; the same value makes two
     emissions byte identical. The bundle appears whole or not at all and
-    holds exactly what the plan names. Raises BundleWriteError when any
-    file cannot be written; the staging directory is then removed and an
+    holds exactly what the plan names. Rendered files are written with
+    plain descriptor writes; setup.sh is made 0o755 on its descriptor, the
+    others get 0o666 less the umask. Raises BundleWriteError when any file
+    cannot be written; the staging directory is then removed and an
     earlier bundle stays in place.
     """
     bundle_dir = Path(bundle_dir)
@@ -348,10 +352,7 @@ def emit_bundle(
             _make_empty_dir(staging)
         for name, text in rendered.items():
             data = text.encode("utf-8")
-            target = staging / name
-            target.write_bytes(data)
-            if name == "setup.sh":
-                target.chmod(0o755)
+            _write_file(os.path.join(staging, name), data, executable=name == "setup.sh")
             digests[name] = hashlib.sha256(data).hexdigest()
         for component in plan.components:
             if component.slug not in staged:
@@ -368,6 +369,19 @@ def emit_bundle(
         bundle_dir=bundle_dir,
         files=tuple(FileDigest(path=path, sha256=digests[path]) for path in ordered),
     )
+
+
+def _write_file(path: str, data: bytes, *, executable: bool) -> None:
+    """Create or truncate path and write all of data, looping over short writes."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if executable:
+            os.fchmod(fd, 0o755)
+    finally:
+        os.close(fd)
 
 
 def _make_empty_dir(path: Path) -> None:

@@ -3,7 +3,10 @@
 Image resolution picks the highest registry tag satisfying a version
 constraint, never below 3.1.0 (the oldest core release published to the
 container registry, 2011). A tag index fetches its tag list once, on first
-use, so a tag pushed to the registry mid-run is seen on the next run.
+use, so a tag pushed to the registry mid-run is seen on the next run. It
+keeps the eligible tags sorted with their version keys beside them, and a
+lookup binary-searches those keys, so its cost grows with the logarithm
+of the number of tags.
 Extension payloads are tried in a fixed order: the public SVN mirror first,
 then a direct .zip software link from the PoC header, then the archive
 attached to the exploit record itself.
@@ -16,6 +19,7 @@ import re
 import shutil
 import zipfile
 from abc import ABC, abstractmethod
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -23,7 +27,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import EmptySlugError, FetchError, NoImageError, NoVulnerableApplicationError
-from .versions import Version, VersionConstraint
+from .versions import DOTTED_NUMERIC, ConstraintKind, Version, VersionConstraint
 
 if TYPE_CHECKING:
     from .corpus import ExploitRecord
@@ -57,7 +61,6 @@ __all__ = [
 # First core release ever published to the hub; older releases have no image.
 IMAGE_VERSION_FLOOR = Version(segments=(3, 1, 0), raw="3.1.0")
 
-_PLAIN_TAG = re.compile(r"\d+(?:\.\d+)*")
 _SLUG_STRIP = re.compile(r"[^a-z0-9]+")
 
 
@@ -128,8 +131,13 @@ class TagIndex(ABC):
 
         Listed on first use only. Variant tags ("latest", "5.0-php7.2-apache") never pick images.
         """
-        pairs = [(Version.parse(tag), tag) for tag in self.list_tags() if _PLAIN_TAG.fullmatch(tag)]
+        pairs = [(Version.parse(tag), tag) for tag in self.list_tags() if DOTTED_NUMERIC.fullmatch(tag)]
         return sorted(pair for pair in pairs if pair[0] >= IMAGE_VERSION_FLOOR)
+
+    @cached_property
+    def _image_keys(self) -> list[tuple[int, ...]]:
+        """Version.key of each entry of _image_tags, in the same (ascending) order."""
+        return [version.key for version, _ in self._image_tags]
 
 
 class FixtureTagIndex(TagIndex):
@@ -185,14 +193,28 @@ def find_core_image(constraint: VersionConstraint, index: TagIndex) -> ImageRef:
 
     Raises NoImageError when nothing qualifies. Tags spelling the same
     version differently ("4.7" and "4.7.0") tie-break on the tag string so
-    the choice stays deterministic.
+    the choice stays deterministic. The pick is a binary search over the
+    index's sorted version keys: a bound takes the last tag below (or at)
+    it, and an exact version or a set takes the highest member that is
+    the last tag at its own key.
     """
-    for version, tag in reversed(index._image_tags):
-        if constraint.satisfies(version):
-            return ImageRef(repository=index.repository, tag=tag, resolved_version=version)
-    raise NoImageError(
-        f"no {index.repository} tag satisfies {constraint} at or above {IMAGE_VERSION_FLOOR}"
-    )
+    keys = index._image_keys
+    if constraint.kind is ConstraintKind.UPPER_BOUND_EXCLUSIVE:
+        at = bisect_left(keys, constraint.versions[0].key) - 1
+    elif constraint.kind is ConstraintKind.UPPER_BOUND_INCLUSIVE:
+        at = bisect_right(keys, constraint.versions[0].key) - 1
+    else:
+        at = -1
+        for member in constraint.versions:
+            i = bisect_right(keys, member.key) - 1
+            if i > at and keys[i] == member.key:
+                at = i
+    if at < 0:
+        raise NoImageError(
+            f"no {index.repository} tag satisfies {constraint} at or above {IMAGE_VERSION_FLOOR}"
+        )
+    version, tag = index._image_tags[at]
+    return ImageRef(repository=index.repository, tag=tag, resolved_version=version)
 
 
 def find_latest_image(index: TagIndex) -> ImageRef:

@@ -2,9 +2,10 @@
 
 Versions are dotted numeric sequences compared segment by segment with
 missing segments read as zero, so 4.7 equals 4.7.0 and 4.10 sorts above
-4.9. Constraints come in four kinds: an exact match, an exclusive upper
-bound ("< 4.7.1"), an inclusive upper bound ("<= 2.0.1"), and a slash
-separated set ("4.7.0/4.7.1").
+4.9; each version keeps its segments without trailing zeros as the one
+key all comparisons use. Constraints come in four kinds: an exact match,
+an exclusive upper bound ("< 4.7.1"), an inclusive upper bound
+("<= 2.0.1"), and a slash separated set ("4.7.0/4.7.1").
 
 A CPE dictionary is asked about each CVE id once; its entries, or the fact
 that the CVE is unknown, stay on the dictionary instance. An unavailable
@@ -17,10 +18,9 @@ import json
 import logging
 import re
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, total_ordering
-from itertools import zip_longest
 from pathlib import Path
 
 from .corpus import POC_HEAD_LINES, ExploitRecord
@@ -28,7 +28,9 @@ from .errors import DictionaryUnavailableError, UnknownCveError, UnparsableVersi
 
 logger = logging.getLogger(__name__)
 
-_STRICT_VERSION = re.compile(r"\d+(?:\.\d+)*")
+# Dotted numeric text: what a strict version spells in full, and the only
+# registry tag spelling that names a core release.
+DOTTED_NUMERIC = re.compile(r"\d+(?:\.\d+)*")
 _BOUND_EXPR = re.compile(r"(<=|<)\s*(\d+(?:\.\d+)*)\s*$")
 _SET_EXPR = re.compile(r"\d+(?:\.\d+)*(?:\s*/\s*\d+(?:\.\d+)*)*\s*$")
 
@@ -45,16 +47,27 @@ _POC_VERSION_HINT = re.compile(
 @total_ordering
 @dataclass(frozen=True, eq=False)
 class Version:
-    """A dotted numeric version. Ordering pads the shorter side with zeros."""
+    """A dotted numeric version. Ordering pads the shorter side with zeros.
+
+    key is segments with trailing zeros stripped (at least one segment
+    kept), computed once: equal versions have equal keys, and keys order
+    as tuples exactly as the versions order. Equality, ordering and the
+    hash all compare it.
+    """
 
     segments: tuple[int, ...]
     raw: str
+    key: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.segments:
             raise UnparsableVersionError("a version needs at least one segment")
         if any(s < 0 for s in self.segments):
             raise UnparsableVersionError("version segments must be non-negative")
+        key = self.segments
+        while len(key) > 1 and key[-1] == 0:
+            key = key[:-1]
+        object.__setattr__(self, "key", key)
 
     @classmethod
     def parse(cls, text: str, strict: bool = True) -> "Version":
@@ -65,7 +78,7 @@ class Version:
         with a warning, which is how loosely written PoC values are read.
         """
         raw = text.strip()
-        match = _STRICT_VERSION.match(raw)
+        match = DOTTED_NUMERIC.match(raw)
         if match is None:
             raise UnparsableVersionError(f"not a dotted numeric version: {text!r}")
         numeric = match.group(0)
@@ -75,28 +88,18 @@ class Version:
             logger.warning("stripping version suffix %r from %r", raw[len(numeric):], raw)
         return cls(segments=tuple(int(s) for s in numeric.split(".")), raw=raw)
 
-    def _padded(self, width: int) -> tuple[int, ...]:
-        return self.segments + (0,) * (width - len(self.segments))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Version):
             return NotImplemented
-        width = max(len(self.segments), len(other.segments))
-        return self._padded(width) == other._padded(width)
+        return self.key == other.key
 
     def __lt__(self, other: "Version") -> bool:
         if not isinstance(other, Version):
             return NotImplemented
-        for a, b in zip_longest(self.segments, other.segments, fillvalue=0):
-            if a != b:
-                return a < b
-        return False
+        return self.key < other.key
 
     def __hash__(self) -> int:
-        key = self.segments
-        while len(key) > 1 and key[-1] == 0:
-            key = key[:-1]
-        return hash(key)
+        return hash(self.key)
 
     def __str__(self) -> str:
         return ".".join(str(s) for s in self.segments)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
+import os
+import stat
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -358,6 +361,64 @@ class TestExactAtomicEmission:
         assert (bundle / "components" / "sample" / "sample.php").read_text() == "<?php // staged\n"
         assert files_on_disk(bundle) == set(manifest.digest_map())
         assert not staging_dir(bundle).exists()
+
+
+def open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestRenderedFileWrites:
+    def test_modes_under_a_strict_umask(self, tmp_path):
+        previous = os.umask(0o077)
+        try:
+            emit_bundle(plugin_plan(tmp_path), tmp_path / "bundle", generated_at=STAMP)
+        finally:
+            os.umask(previous)
+        modes = {name: stat.S_IMODE((tmp_path / "bundle" / name).stat().st_mode) for name in BUNDLE_FILES}
+        assert modes == {
+            "Dockerfile": 0o600,
+            "docker-compose.yml": 0o600,
+            "setup.sh": 0o755,
+            "provenance.json": 0o600,
+        }
+
+    def test_short_writes_give_the_same_bundle(self, tmp_path, monkeypatch):
+        plan = plugin_plan(tmp_path)
+        normal = emit_bundle(plan, tmp_path / "normal", generated_at=STAMP)
+        real_write = os.write
+        calls = []
+
+        def one_byte(fd, data):
+            calls.append(fd)
+            return real_write(fd, data[:1])
+
+        monkeypatch.setattr("vulnwp.iac.os.write", one_byte)
+        short = emit_bundle(plan, tmp_path / "short", generated_at=STAMP)
+        monkeypatch.undo()
+        assert short.digest_map() == normal.digest_map()
+        rendered = 0
+        for name in BUNDLE_FILES:
+            body = (tmp_path / "short" / name).read_bytes()
+            assert body == (tmp_path / "normal" / name).read_bytes()
+            rendered += len(body)
+        assert len(calls) >= rendered
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("failing", ["write", "fchmod"])
+    def test_no_descriptor_stays_open(self, tmp_path, monkeypatch, failing):
+        before = open_descriptors()
+        emit_bundle(plugin_plan(tmp_path), tmp_path / "bundle", generated_at=STAMP)
+        assert open_descriptors() == before
+
+        def fail(*args):
+            raise OSError(errno.ENOSPC, "no space left on device")
+
+        monkeypatch.setattr(f"vulnwp.iac.os.{failing}", fail)
+        with pytest.raises(BundleWriteError):
+            emit_bundle(core_plan(), tmp_path / "failed", generated_at=STAMP)
+        monkeypatch.undo()
+        assert open_descriptors() == before
+        assert not staging_dir(tmp_path / "failed").exists()
 
 
 class TestComposeSubset:

@@ -32,29 +32,67 @@ def ver(text: str) -> Version:
     return Version.parse(text)
 
 
-def oracle_pick(tags: list[str], constraint: VersionConstraint | None) -> str | None:
-    """Filter-then-max over every plainly versioned tag, reparsed on each call."""
+# The oracle orders versions as zero-padded int tuples built here, never
+# through Version, so a wrong comparison key cannot agree with itself.
+_WIDTH = 12
+
+
+def padded(text: str) -> tuple[int, ...]:
+    segments = tuple(int(part) for part in text.split("."))
+    assert len(segments) <= _WIDTH
+    return segments + (0,) * (_WIDTH - len(segments))
+
+
+_FLOOR = padded("3.1.0")
+_HOLDS = {
+    "exact": lambda tag, bounds: tag == bounds[0],
+    "lt": lambda tag, bounds: tag < bounds[0],
+    "le": lambda tag, bounds: tag <= bounds[0],
+    "set": lambda tag, bounds: tag in bounds,
+}
+
+
+def make_constraint(shape: str, texts: list[str]) -> VersionConstraint:
+    versions = [ver(text) for text in texts]
+    if shape == "exact":
+        return VersionConstraint.exact(versions[0])
+    if shape == "set":
+        return VersionConstraint.version_set(versions)
+    return VersionConstraint.upper_bound(versions[0], inclusive=shape == "le")
+
+
+def oracle_pick(tags: list[str], shape: str | None = None, texts: list[str] = ()) -> str | None:
+    """Filter-then-max over every plainly versioned tag by (padded tuple, tag string)."""
+    bounds = [padded(text) for text in texts]
     eligible = [
-        (ver(tag), tag)
+        (padded(tag), tag)
         for tag in tags
         if all(part.isdigit() for part in tag.split("."))
-        and ver(tag) >= IMAGE_VERSION_FLOOR
-        and (constraint is None or constraint.satisfies(ver(tag)))
+        and padded(tag) >= _FLOOR
+        and (shape is None or _HOLDS[shape](padded(tag), bounds))
     ]
     return max(eligible)[1] if eligible else None
 
 
-# Versions around the 3.1.0 floor, with zero-padding twins ("4.7"/"4.7.0").
-version_texts = st.builds(
-    lambda major, minor, patch: ".".join(str(s) for s in (major, minor, *patch)),
-    st.integers(min_value=2, max_value=6),
-    st.integers(min_value=0, max_value=3),
-    st.lists(st.integers(min_value=0, max_value=2), max_size=2),
+# Versions around the 3.1.0 floor: at it in several spellings, just below it,
+# and spread above it.
+_EDGE_VERSIONS = ["3.1", "3.1.0", "3.1.0.0", "3.0.9", "3.0.9.9", "3.0", "3.1.0.1"]
+version_texts = st.one_of(
+    st.builds(
+        lambda major, minor, patch: ".".join(str(s) for s in (major, minor, *patch)),
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=0, max_value=3),
+        st.lists(st.integers(min_value=0, max_value=2), max_size=2),
+    ),
+    st.sampled_from(_EDGE_VERSIONS),
 )
+# Spellings of one version as tags: zero-padding twins ("4.7"/"4.7.0") and
+# multi-zero forms ("4.7.0.0").
 _TAG_SPELLINGS = {
     "plain": lambda text: [text],
     "twins": lambda text: [text, text + ".0"],
     "padded": lambda text: [text + ".0"],
+    "multi-zero": lambda text: [text + ".0.0", text],
     "variant": lambda text: [text + "-php7.2-apache"],
 }
 tag_lists = (
@@ -63,13 +101,12 @@ tag_lists = (
     .map(lambda tags: tags + tags[: len(tags) // 3] + ["latest", "cli"])  # duplicates, non-versions
     .flatmap(st.permutations)
 )
-constraints = st.one_of(
-    version_texts.map(lambda text: VersionConstraint.exact(ver(text))),
-    version_texts.map(lambda text: VersionConstraint.upper_bound(ver(text))),
-    version_texts.map(lambda text: VersionConstraint.upper_bound(ver(text), inclusive=True)),
-    st.lists(version_texts, min_size=2, max_size=4).map(
-        lambda texts: VersionConstraint.version_set([ver(t) for t in texts])
-    ),
+# Bounds are drawn apart from the tags, so most name no tag; some fall
+# between tags ("4.6.9", "4.7.0.1") on purpose.
+bound_texts = st.one_of(version_texts, st.sampled_from(["4.6.9", "4.7.0.1", "4.7.0.0", "5.0.0.0.1"]))
+constraint_specs = st.one_of(
+    st.tuples(st.sampled_from(["exact", "lt", "le"]), bound_texts.map(lambda text: [text])),
+    st.tuples(st.just("set"), st.lists(bound_texts, min_size=2, max_size=4)),
 )
 
 
@@ -116,52 +153,43 @@ class TestFindCoreImage:
 
     def test_agrees_with_filter_then_max_oracle(self, registry):
         rng = random.Random(1805)
-        pool = [f"{a}.{b}" for a in range(1, 7) for b in range(0, 10)]
-        parsed_tags = []
-        for tag in registry.list_tags():
-            try:
-                parsed_tags.append((Version.parse(tag), tag))
-            except Exception:
-                continue
+        pool = [f"{a}.{b}" for a in range(1, 7) for b in range(0, 10)] + ["4.7.0.0", "3.1.0.0", "3.0.9"]
+        tags = registry.list_tags()
         for _ in range(300):
             shape = rng.choice(["exact", "lt", "le", "set"])
-            picks = rng.sample(pool, k=2)
-            if shape == "exact":
-                constraint = VersionConstraint.exact(ver(picks[0]))
-            elif shape == "lt":
-                constraint = VersionConstraint.upper_bound(ver(picks[0]))
-            elif shape == "le":
-                constraint = VersionConstraint.upper_bound(ver(picks[0]), inclusive=True)
-            else:
-                constraint = VersionConstraint.version_set([ver(p) for p in picks])
-            eligible = [
-                (version, tag)
-                for version, tag in parsed_tags
-                if version >= IMAGE_VERSION_FLOOR and constraint.satisfies(version)
-            ]
-            if eligible:
-                assert find_core_image(constraint, registry).tag == max(eligible)[1]
-            else:
-                with pytest.raises(NoImageError):
-                    find_core_image(constraint, registry)
-
-    @given(tag_lists, st.lists(constraints, min_size=1, max_size=4))
-    def test_cached_listing_agrees_with_filter_then_max_oracle(self, tags, constraint_list):
-        index = FixtureTagIndex(tags)
-        for constraint in constraint_list:  # later picks come from the cached listing
-            expected = oracle_pick(tags, constraint)
+            picks = rng.sample(pool, k=2 if shape == "set" else 1)
+            expected = oracle_pick(tags, shape, picks)
             if expected is None:
                 with pytest.raises(NoImageError):
-                    find_core_image(constraint, index)
+                    find_core_image(make_constraint(shape, picks), registry)
             else:
-                image = find_core_image(constraint, index)
-                assert (image.tag, image.resolved_version) == (expected, ver(expected))
-        latest = oracle_pick(tags, None)
+                assert find_core_image(make_constraint(shape, picks), registry).tag == expected
+
+    @given(tag_lists, st.lists(constraint_specs, min_size=1, max_size=4))
+    def test_cached_listing_agrees_with_filter_then_max_oracle(self, tags, specs):
+        index = FixtureTagIndex(tags)
+        for shape, texts in specs:  # later picks come from the cached listing
+            expected = oracle_pick(tags, shape, texts)
+            if expected is None:
+                with pytest.raises(NoImageError):
+                    find_core_image(make_constraint(shape, texts), index)
+            else:
+                image = find_core_image(make_constraint(shape, texts), index)
+                assert (image.tag, image.resolved_version.raw) == (expected, expected)
+        latest = oracle_pick(tags)
         if latest is None:
             with pytest.raises(NoImageError):
                 find_latest_image(index)
         else:
             assert find_latest_image(index).tag == latest
+
+    @pytest.mark.parametrize("tag", [" 4.7", "4.7 ", "\t4.7", "4.7\n"])
+    def test_tag_with_surrounding_whitespace_is_not_an_image_tag(self, tag):
+        index = FixtureTagIndex([tag, "4.6"])
+        with pytest.raises(NoImageError):
+            find_core_image(parse_version_expr("4.7"), index)
+        assert find_core_image(parse_version_expr("< 100"), index).tag == "4.6"
+        assert find_latest_image(index).tag == "4.6"
 
     def test_adding_tags_never_lowers_resolution(self, registry):
         base = find_core_image(parse_version_expr("< 4.7.1"), registry)

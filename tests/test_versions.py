@@ -30,6 +30,17 @@ from vulnwp.versions import (
 from conftest import make_record
 
 segment_lists = st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=4)
+# Segment lists ending in zero to three zeros ("4.7", "4.7.0", "4.7.0.0").
+zero_tailed_lists = st.builds(
+    lambda head, zeros: head + [0] * zeros,
+    st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4),
+    st.integers(min_value=0, max_value=3),
+)
+_WIDTH = 8
+
+
+def padded(segments: list[int]) -> tuple[int, ...]:
+    return tuple(segments) + (0,) * (_WIDTH - len(segments))
 
 
 def ver(text: str) -> Version:
@@ -80,6 +91,27 @@ class TestVersionOrdering:
         va, vb = from_segments(a), from_segments(b)
         assert (va < vb) == (pa < pb)
         assert (va == vb) == (pa == pb)
+
+    @given(zero_tailed_lists, zero_tailed_lists)
+    def test_key_agrees_with_padded_tuples(self, a, b):
+        pa, pb = padded(a), padded(b)
+        va, vb = from_segments(a), from_segments(b)
+        assert (va == vb) == (pa == pb)
+        assert (va < vb) == (pa < pb)
+        if va == vb:
+            assert hash(va) == hash(vb)
+
+    @given(st.lists(zero_tailed_lists, max_size=12))
+    def test_sorted_agrees_with_padded_tuples(self, lists):
+        ordered = sorted(from_segments(segments) for segments in lists)
+        assert [padded(list(v.segments)) for v in ordered] == sorted(padded(s) for s in lists)
+
+    def test_constructor_and_text_forms_are_unchanged(self):
+        version = Version(segments=(4, 7, 0), raw="4.7.0")
+        assert (version.segments, version.raw) == ((4, 7, 0), "4.7.0")
+        assert str(version) == "4.7.0"
+        assert repr(version) == "Version(4.7.0)"
+        assert version == Version(segments=(4, 7), raw="4.7")
 
     @given(segment_lists, segment_lists, segment_lists)
     def test_transitivity(self, a, b, c):
