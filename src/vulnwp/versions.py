@@ -31,15 +31,17 @@ logger = logging.getLogger(__name__)
 # Dotted numeric text: what a strict version spells in full, and the only
 # registry tag spelling that names a core release.
 DOTTED_NUMERIC = re.compile(r"\d+(?:\.\d+)*")
-_BOUND_EXPR = re.compile(r"(<=|<)\s*(\d+(?:\.\d+)*)\s*$")
-_SET_EXPR = re.compile(r"\d+(?:\.\d+)*(?:\s*/\s*\d+(?:\.\d+)*)*\s*$")
+# One or more dotted numerics separated by "/": an exact version or a set.
+_VERSION_SET = DOTTED_NUMERIC.pattern + r"(?:\s*/\s*" + DOTTED_NUMERIC.pattern + ")*"
+_BOUND_EXPR = re.compile(r"(<=|<)\s*(" + DOTTED_NUMERIC.pattern + r")\s*$")
+_SET_EXPR = re.compile(_VERSION_SET + r"\s*$")
 
 # Case-insensitive "version" hint in PoC text: the word (not a suffix of a
 # longer word such as "conversion"), a colon or whitespace, then an
 # expression in the constraint grammar. The corpus loader drops a PoC head
 # this cannot match in (corpus._body_scan_can_match); keep the two in step.
 _POC_VERSION_HINT = re.compile(
-    r"(?<![a-z])version[:\s]\s*((?:<=|<)\s*)?(\d+(?:\.\d+)*(?:\s*/\s*\d+(?:\.\d+)*)*)",
+    r"(?<![a-z])version[:\s]\s*((?:<=|<)\s*)?(" + _VERSION_SET + ")",
     re.IGNORECASE,
 )
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import csv
+import io
+import os
 import re
 import tempfile
+import threading
 from datetime import date
 from pathlib import Path
 
@@ -131,6 +134,31 @@ class TestLoadCorpus:
             load_corpus(path, tmp_path)
         assert str(excinfo.value) == f"row 3: lacks columns: {missing}"
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            # Blank lines after the rows on lines 2 and 4.
+            (["", "2,exploits/2.txt,T,2018-03-05,a,webapps,php,", "",
+              "x,exploits/x.txt,T,2018-03-05,a,webapps,php,"],
+             "row 6: id 'x' is not an integer"),
+            # A quoted title spanning lines 3 and 4.
+            (['2,exploits/2.txt,"Title,\nspanning",2018-03-05,a,webapps,php,',
+              "x,exploits/x.txt,T,2018-03-05,a,webapps,php,"],
+             "row 5: id 'x' is not an integer"),
+            # The bad row itself starts after a blank line and spans two lines.
+            (['2,exploits/2.txt,"T\r\n2",2018-03-05,a,webapps,php,', "",
+              '3,exploits/3.txt,"T\n3",03/05/2018,a,webapps,php,'],
+             "row 6: date '03/05/2018' is not ISO formatted"),
+        ],
+    )
+    def test_row_number_is_the_index_line_the_row_starts_on(self, tmp_path, lines, message):
+        path = tmp_path / "files_exploits.csv"
+        full = "1,exploits/1.txt,Title,2018-03-05,a,webapps,php,"
+        path.write_text("\n".join([",".join(INDEX_COLUMNS), full, *lines]) + "\n", encoding="utf-8")
+        with pytest.raises(IndexUnreadableError) as excinfo:
+            load_corpus(path, tmp_path)
+        assert str(excinfo.value) == message
+
     def test_row_without_the_optional_codes_column_loads(self, tmp_path):
         path = tmp_path / "files_exploits.csv"
         path.write_text(",".join(INDEX_COLUMNS) + "\n1,x.txt,Title,2018-03-05,a,webapps,php\n")
@@ -140,6 +168,25 @@ class TestLoadCorpus:
     def test_poc_path_that_is_a_directory_warns_and_loads(self, tmp_path):
         (tmp_path / "exploits" / "1.txt").mkdir(parents=True)
         corpus = load_one(tmp_path)
+        assert corpus.records[1].poc_text == ""
+        assert corpus.records[1].poc_header == {}
+        assert corpus.warnings == ["1: PoC file exploits/1.txt missing, record loaded without text"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_poc_path_that_is_a_fifo_warns_and_loads(self, tmp_path):
+        # Opening a FIFO for reading blocks until a writer comes, so the load
+        # runs in a thread that the test gives up on rather than hang.
+        fifo = tmp_path / "exploits" / "1.txt"
+        fifo.parent.mkdir()
+        os.mkfifo(fifo)
+        loaded = []
+        loader = threading.Thread(target=lambda: loaded.append(load_one(tmp_path)), daemon=True)
+        loader.start()
+        loader.join(timeout=10)
+        if loader.is_alive():
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))  # release the blocked open
+            pytest.fail("opening a FIFO named as a PoC blocked the load")
+        (corpus,) = loaded
         assert corpus.records[1].poc_text == ""
         assert corpus.records[1].poc_header == {}
         assert corpus.warnings == ["1: PoC file exploits/1.txt missing, record loaded without text"]
@@ -232,6 +279,129 @@ class TestAppArchives:
         assert load_one(tmp_path).records[1].app_archive is None
 
 
+# Reference index reader on csv.DictReader, which skips blank lines, fills
+# the columns a short row lacks with None and lets the last of duplicate
+# column names win. The loader must load the same records and warnings from
+# any index text, or raise the same error; row numbers are checked above.
+_REQUIRED_INDEX_COLUMNS = INDEX_COLUMNS[:-1]
+
+
+def reference_load_index(path: Path):
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            reader = csv.DictReader(handle)
+            fieldnames = set(reader.fieldnames or [])
+            missing = sorted(set(_REQUIRED_INDEX_COLUMNS) - fieldnames)
+            if missing:
+                raise IndexUnreadableError(f"index {path} lacks columns: {', '.join(missing)}")
+            rows = list(reader)
+    except csv.Error as exc:
+        raise IndexUnreadableError(f"index {path} is not valid CSV: {exc}") from exc
+    records, warnings = {}, []
+    for row in rows:
+        missing = sorted(column for column in _REQUIRED_INDEX_COLUMNS if row[column] is None)
+        if missing:
+            raise IndexUnreadableError(f"lacks columns: {', '.join(missing)}")
+        try:
+            edb_id = int(row["id"])
+        except ValueError:
+            raise IndexUnreadableError(f"id {row['id']!r} is not an integer")
+        try:
+            published = date.fromisoformat(row["date"].strip())
+        except ValueError:
+            raise IndexUnreadableError(f"date {row['date']!r} is not ISO formatted")
+        if published < date(1999, 1, 1):
+            raise IndexUnreadableError(f"published {published} predates 1999-01-01")
+        if edb_id in records:
+            raise DuplicateIdError(f"exploit id {edb_id} appears more than once in {path}")
+        cves = [token.strip().upper() for token in (row.get("codes") or "").split(";")]
+        records[edb_id] = (
+            edb_id,
+            row["description"].strip(),
+            row["author"].strip(),
+            row["type"].strip(),
+            published,
+            row["platform"].strip(),
+            tuple(cve for cve in cves if re.fullmatch(r"CVE-\d{4}-\d{4,}", cve)),
+        )
+        warnings.append(f"{edb_id}: PoC file {row['file']} missing, record loaded without text")
+    return records, warnings
+
+
+def loaded_index_fields(path: Path):
+    corpus = load_corpus(path, path.parent)
+    records = {
+        edb_id: (r.edb_id, r.title, r.author, r.vuln_type, r.published, r.platform, r.cve_ids)
+        for edb_id, r in corpus.records.items()
+    }
+    return records, corpus.warnings
+
+
+def outcome(load, path: Path):
+    """What load gives for path: its result, or the error's type and message
+    without the row number."""
+    try:
+        return load(path)
+    except (IndexUnreadableError, DuplicateIdError) as exc:
+        return type(exc), re.sub(r"^row \d+: ", "", str(exc))
+
+
+_free_cells = st.text(alphabet='ab ,"\n\r;\t', max_size=6)
+# Cells are mostly valid, so that most indexes load several records.
+_index_cells = {
+    "id": st.integers(0, 11).flatmap(
+        lambda n: st.integers(1, 40).map(str) if n else st.sampled_from([" 7 ", "x", "", "1.0"])
+    ),
+    "date": st.integers(0, 11).flatmap(
+        lambda n: st.sampled_from(
+            ["2018-03-05", " 2020-01-01\n"] if n else ["1998-12-31", "03/05/2018", ""]
+        )
+    ),
+    "codes": st.sampled_from(
+        ["", "CVE-2017-5487", "cve-2017-5487; CVE-2019-9978", "x;CVE-1-2",
+         "CVE-2020-1234,CVE-2020-5678"]
+    ),
+    "file": st.sampled_from(["exploits/1.txt", "a b.txt", "x,y.txt"]),
+}
+
+
+@st.composite
+def index_texts(draw) -> str:
+    """An index: its columns in any order, codes or not, a duplicate or an
+    extra column, now and then a required one dropped; rows full, short or
+    long, with quoted commas and newlines, and blank lines between them."""
+    header = list(draw(st.permutations(INDEX_COLUMNS)))
+    if draw(st.booleans()):
+        header.remove("codes")
+    for _ in range(draw(st.integers(0, 2))):
+        name = draw(st.sampled_from(INDEX_COLUMNS + ["extra"]))
+        header.insert(draw(st.integers(0, len(header))), name)
+    if draw(st.integers(0, 9)) == 0:
+        header.remove(draw(st.sampled_from(header)))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=ending)
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 8))):
+        buffer.write(draw(st.sampled_from(["", "", "\n", ending, "\n\r\n"])))
+        cells = [draw(_index_cells.get(name, _free_cells)) for name in header]
+        width = draw(st.integers(0, 19).flatmap(
+            lambda n: st.integers(0, len(header) + 2) if n == 0 else st.just(len(header) - (n == 1))
+        ))
+        writer.writerow((cells + ["extra,cell", "z"])[:width])
+    return buffer.getvalue() + draw(st.sampled_from(["", "\n", ending * 2]))
+
+
+class TestIndexMatchesDictReader:
+    @settings(max_examples=200, deadline=None)
+    @given(index_texts())
+    def test_loaded_index_fields(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "files_exploits.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert outcome(loaded_index_fields, path) == outcome(reference_load_index, path)
+
+
 # Reference header scan: every line goes through the regex and keys are
 # normalised with re.sub. The loader's scan must agree with it exactly.
 _REFERENCE_HEADER_LINE = re.compile(r"^\s*#*\s*([A-Za-z][A-Za-z0-9 _/-]{0,39}?)\s*:\s+(\S.*?)\s*$")
@@ -254,10 +424,17 @@ _header_like_lines = st.tuples(
     st.sampled_from(["", "#", "# ", " \t#", "## ", "\u00a0#"]),
     st.sampled_from(
         ["Version", "Software Link", "software   link", "Tested on", "a/b-c_d", "9bad", "",
-         "A" * 39, "B" * 40, "C" * 41, "https", "x y z "]
+         "A" * 39, "B" * 40, "C" * 41, "https", "x y z ",
+         # Around the 40-character key limit, with spaces before the colon.
+         "D" * 39 + " ", "E" * 39 + "   ", "F" * 40 + " ", "G" * 41 + "  ", "H" * 38 + " i  "]
     ),
     st.sampled_from([":", ": ", " : ", ":\t", ":\u00a0", ":\u3000", ":\x0b", "://", "::", " "]),
-    st.sampled_from(["", "7.1.3", " 1.0 ", "//example.test/a:b", "é", "\u2003x", "<= 2.0\t"]),
+    st.sampled_from(
+        ["", "7.1.3", " 1.0 ", "//example.test/a:b", "é", "\u2003x", "<= 2.0\t",
+         # Values ending in whitespace that is not a line ending, or is one
+         # only to splitlines (\x85).
+         "7.1.3\x1f", "x\u00a0", "1 2\u3000", "y\x85", "z \x1f\u00a0\u3000"]
+    ),
     st.sampled_from(_LINE_ENDINGS),
 ).map("".join)
 _poc_texts = st.lists(
