@@ -39,6 +39,10 @@ EARLIEST_PUBLICATION = date(1999, 1, 1)
 
 _REQUIRED_COLUMNS = {"id", "file", "description", "date", "author", "type", "platform"}
 _CVE_TOKEN = re.compile(r"CVE-\d{4}-\d{4,}", re.IGNORECASE)
+# An index date is YYYY-MM-DD in ASCII digits, with optional whitespace
+# around it. date.fromisoformat on Python 3.11 and later also reads
+# "20180305" and "2018-W10-1", which 3.10 refuses.
+_INDEX_DATE = re.compile(r"\s*([0-9]{4}-[0-9]{2}-[0-9]{2})\s*")
 
 # Header lines take the form "# Key: value" or "Key: value" within the
 # first lines of a PoC. Keys are short word sequences; the colon must be
@@ -145,14 +149,23 @@ def _parse_row(
     if width <= last_required:
         missing = sorted(column for column in _REQUIRED_COLUMNS if columns[column] >= width)
         raise IndexUnreadableError(f"row {row_number}: lacks columns: {', '.join(missing)}")
+    # An id is ASCII digits with optional whitespace around it; int() alone
+    # also reads "1_000", "+7" and non-ASCII digits.
     raw_id = row[columns["id"]]
+    digits = raw_id.strip()
     try:
-        edb_id = int(raw_id)
+        if not (digits.isdigit() and digits.isascii()):
+            raise ValueError
+        # Past 4,300 digits int() raises ValueError too.
+        edb_id = int(digits)
     except ValueError:
         raise IndexUnreadableError(f"row {row_number}: id {raw_id!r} is not an integer")
     raw_date = row[columns["date"]]
+    match = _INDEX_DATE.fullmatch(raw_date)
     try:
-        published = date.fromisoformat(raw_date.strip())
+        if match is None:
+            raise ValueError
+        published = date.fromisoformat(match[1])
     except ValueError:
         raise IndexUnreadableError(f"row {row_number}: date {raw_date!r} is not ISO formatted")
     if published < EARLIEST_PUBLICATION:

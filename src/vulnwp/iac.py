@@ -152,6 +152,13 @@ class BundleManifest:
     bundle_dir: Path
     files: tuple[FileDigest, ...]
 
+    @classmethod
+    def from_digests(cls, bundle_dir: Path, digests: dict[str, str]) -> "BundleManifest":
+        """The manifest of digests ({relative path: sha256}), its files
+        sorted by path parts, so "a/y" comes before "a-b/x"."""
+        ordered = sorted(digests, key=lambda path: path.split("/"))
+        return cls(bundle_dir, tuple(FileDigest(path, digests[path]) for path in ordered))
+
     def digest_map(self) -> dict[str, str]:
         return {f.path: f.sha256 for f in self.files}
 
@@ -364,11 +371,7 @@ def emit_bundle(
         shutil.rmtree(staging, ignore_errors=True)
         raise BundleWriteError(f"emitting bundle into {bundle_dir} failed: {exc}") from exc
 
-    ordered = sorted(digests, key=lambda path: path.split("/"))
-    return BundleManifest(
-        bundle_dir=bundle_dir,
-        files=tuple(FileDigest(path=path, sha256=digests[path]) for path in ordered),
-    )
+    return BundleManifest.from_digests(bundle_dir, digests)
 
 
 def _write_file(path: str, data: bytes, *, executable: bool) -> None:

@@ -35,7 +35,7 @@ from .errors import (
     SetupStepFailedError,
     UnknownCveError,
 )
-from .iac import BundleManifest, EnvironmentPlan, FileDigest, build_plan, emit_bundle, staging_dir
+from .iac import BundleManifest, EnvironmentPlan, build_plan, emit_bundle, staging_dir
 from .resolvers import (
     ComponentKind,
     SourceClients,
@@ -117,20 +117,24 @@ class GenerationOutcome:
         return self.status is OutcomeStatus.SUCCESS
 
     def to_json_dict(self) -> dict:
+        # _value_ is the member's value as a plain attribute; .value goes
+        # through a descriptor, which costs several times more per row.
+        reason = self.reason
+        manifest = self.manifest
         return {
             "edb_id": self.edb_id,
-            "status": self.status.value,
-            "reason": self.reason.value if self.reason else None,
+            "status": self.status._value_,
+            "reason": reason._value_ if reason else None,
             "elapsed": self.elapsed,
             "image": self.image,
             "sources": list(self.sources),
             "unused_app_archive": self.unused_app_archive,
             "bundle": (
                 {
-                    "dir": str(self.manifest.bundle_dir),
-                    "files": {f.path: f.sha256 for f in self.manifest.files},
+                    "dir": str(manifest.bundle_dir),
+                    "files": {f.path: f.sha256 for f in manifest.files},
                 }
-                if self.manifest
+                if manifest
                 else None
             ),
         }
@@ -140,28 +144,35 @@ class GenerationOutcome:
         """Rebuild an outcome row persisted by to_json_dict.
 
         The full plan object does not round-trip; everything reporting
-        needs (status, reason, sources, digests) does.
+        needs (status, reason, sources, digests) does. The manifest's files
+        come back in the order emit_bundle lists them (see
+        BundleManifest.from_digests). Raises KeyError, TypeError,
+        AttributeError or ValueError when the payload is not such a row.
         """
-        bundle = payload.get("bundle")
+        get = payload.get
+        bundle = get("bundle")
         manifest = None
         if bundle:
-            manifest = BundleManifest(
-                bundle_dir=Path(bundle["dir"]),
-                files=tuple(
-                    FileDigest(path=p, sha256=d) for p, d in sorted(bundle["files"].items())
-                ),
-            )
-        reason = payload.get("reason")
+            manifest = BundleManifest.from_digests(Path(bundle["dir"]), bundle["files"])
+        status = payload["status"]
+        reason = get("reason")
+        # Dict lookups stand in for the enum calls, which still run (and
+        # raise) for a value no member has.
         return cls(
-            edb_id=payload["edb_id"],
-            status=OutcomeStatus(payload["status"]),
-            elapsed=payload["elapsed"],
-            reason=FailureReason(reason) if reason else None,
-            manifest=manifest,
-            image=payload.get("image"),
-            sources=tuple(payload.get("sources", ())),
-            unused_app_archive=payload.get("unused_app_archive"),
+            payload["edb_id"],
+            _STATUS_BY_VALUE.get(status) or OutcomeStatus(status),
+            payload["elapsed"],
+            (_REASON_BY_VALUE.get(reason) or FailureReason(reason)) if reason else None,
+            None,
+            manifest,
+            get("image"),
+            tuple(get("sources", ())),
+            get("unused_app_archive"),
         )
+
+
+_STATUS_BY_VALUE = {status.value: status for status in OutcomeStatus}
+_REASON_BY_VALUE = {reason.value: reason for reason in FailureReason}
 
 
 @dataclass

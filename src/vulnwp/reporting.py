@@ -16,11 +16,12 @@ from pathlib import Path
 from typing import Iterable
 
 from .corpus import Corpus
-from .errors import UnknownRecordError
+from .errors import UnknownRecordError, VulnwpError
 from .pipeline import (
     FailureReason,
     GenerationMode,
     GenerationOutcome,
+    OutcomeStatus,
     PipelineServices,
     generate,
 )
@@ -79,42 +80,49 @@ def summarize(outcomes: Iterable[GenerationOutcome], corpus: Corpus) -> BatchRep
     an outcome references an id the corpus does not hold. The result does
     not depend on the order of the outcomes.
     """
-    total = 0
-    successes = 0
-    by_year: dict[int, dict] = {}
+    # year -> [submitted, generated, {reason: count}]
+    by_year: dict[int, list] = {}
     by_source: dict[str, int] = {}
-    by_reason: dict[str, int] = {}
+    records = corpus.records
+    success = OutcomeStatus.SUCCESS
 
     for outcome in outcomes:
-        record = corpus.records.get(outcome.edb_id)
+        record = records.get(outcome.edb_id)
         if record is None:
             raise UnknownRecordError(f"outcome references unknown exploit id {outcome.edb_id}")
-        total += 1
         year = record.published.year
-        slot = by_year.setdefault(year, {"submitted": 0, "generated": 0, "failed": {}})
-        slot["submitted"] += 1
-        if outcome.is_success:
-            successes += 1
-            slot["generated"] += 1
-            if outcome.sources:
-                kind = outcome.sources[0]
+        slot = by_year.get(year)
+        if slot is None:
+            slot = by_year[year] = [0, 0, {}]
+        slot[0] += 1
+        if outcome.status is success:
+            slot[1] += 1
+            sources = outcome.sources
+            if sources:
+                kind = sources[0]
                 by_source[kind] = by_source.get(kind, 0) + 1
         else:
-            reason = outcome.reason.value
-            by_reason[reason] = by_reason.get(reason, 0) + 1
-            slot["failed"][reason] = slot["failed"].get(reason, 0) + 1
+            failed = slot[2]
+            reason = outcome.reason._value_
+            failed[reason] = failed.get(reason, 0) + 1
 
+    total = sum(slot[0] for slot in by_year.values())
+    successes = sum(slot[1] for slot in by_year.values())
+    by_reason: dict[str, int] = {}
+    for _, _, failed in by_year.values():
+        for reason, count in failed.items():
+            by_reason[reason] = by_reason.get(reason, 0) + count
     return BatchReport(
         total=total,
         successes=successes,
         rate=successes / total if total else 0.0,
         by_year={
             year: YearStats(
-                submitted=slot["submitted"],
-                generated=slot["generated"],
-                failed_by_reason=dict(sorted(slot["failed"].items())),
+                submitted=submitted,
+                generated=generated,
+                failed_by_reason=dict(sorted(failed.items())),
             )
-            for year, slot in sorted(by_year.items())
+            for year, (submitted, generated, failed) in sorted(by_year.items())
         },
         by_source=dict(sorted(by_source.items())),
         by_reason=dict(sorted(by_reason.items())),
@@ -188,25 +196,63 @@ def parse_report_json(text: str) -> BatchReport:
     )
 
 
-# json.dumps(..., sort_keys=True) builds a new encoder per call; one
-# encoder with the same settings serves every row.
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
+# One encoder and one decoder serve every row: json.dumps and json.loads
+# check their arguments and look up a codec on each call. Rows are fresh
+# trees of dicts and lists, so the encoder need not look for cycles; that
+# changes no byte it writes.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+_ROW_DECODER = json.JSONDecoder()
 
 
 def write_outcomes(outcomes: Iterable[GenerationOutcome], path: Path | str) -> None:
-    """Persist outcomes as newline-delimited JSON, one object per line."""
+    """Persist outcomes as newline-delimited JSON, one object per line.
+
+    Each row is GenerationOutcome.to_json_dict() as json.dumps(row,
+    sort_keys=True) writes it, ASCII only, followed by a newline. The
+    rows are streamed: one is encoded and written at a time.
+    """
+    encode = _ROW_ENCODER.encode
     with Path(path).open("w", encoding="utf-8") as handle:
+        write = handle.write
         for outcome in outcomes:
-            handle.write(_ROW_ENCODER.encode(outcome.to_json_dict()))
-            handle.write("\n")
+            write(encode(outcome.to_json_dict()) + "\n")
 
 
 def read_outcomes(path: Path | str) -> list[GenerationOutcome]:
-    """Load outcomes written by write_outcomes."""
+    """Load outcomes written by write_outcomes, streaming line by line.
+
+    Lines that are only whitespace are skipped, and whitespace around a
+    row is allowed. Raises VulnwpError naming the file and the 1-based
+    line of the first row that is not an outcome row: text that is not
+    UTF-8 or not one JSON value, a value that is not an object, a missing
+    key, an unknown status or reason, or a failure without a reason.
+    """
+    path = Path(path)
+    decode = _ROW_DECODER.decode
+    from_row = GenerationOutcome.from_json_dict
     outcomes = []
-    with Path(path).open(encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                outcomes.append(GenerationOutcome.from_json_dict(json.loads(line)))
+    append = outcomes.append
+    number, line = 0, ""
+    try:
+        # Undecodable bytes are kept as surrogates so that they fail on
+        # their own line, below, and not in the middle of the iteration.
+        with path.open(encoding="utf-8", errors="surrogateescape") as handle:
+            for number, line in enumerate(handle, 1):
+                row = line.strip()
+                if row:
+                    row.encode("utf-8")
+                    payload = decode(row)
+                    if not isinstance(payload, dict):
+                        raise TypeError(f"a row is a JSON object, not {type(payload).__name__}")
+                    append(from_row(payload))
+    except UnicodeEncodeError as exc:
+        raise VulnwpError(f"{path} line {number}: not UTF-8 text") from exc
+    except json.JSONDecodeError as exc:
+        column = len(line) - len(line.lstrip()) + exc.colno
+        raise VulnwpError(f"{path} line {number} column {column}: {exc.msg}") from exc
+    except KeyError as exc:
+        raise VulnwpError(f"{path} line {number}: row lacks {exc}") from exc
+    # from_json_dict's other errors for a row that is not an outcome row.
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise VulnwpError(f"{path} line {number}: {exc}") from exc
     return outcomes

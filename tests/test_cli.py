@@ -258,6 +258,19 @@ class TestBatchAndStats:
         )
         assert code == 1
 
+    def test_stats_on_a_torn_outcomes_file_is_a_usage_error(self, e2e_tree, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(base_args(e2e_tree, out) + ["batch"]) == 0
+        capsys.readouterr()
+        outcomes = out / "outcomes.ndjson"
+        torn = tmp_path / "torn.ndjson"
+        torn.write_bytes(outcomes.read_bytes()[:-20])
+        code = main(base_args(e2e_tree, out) + ["stats", str(torn)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {torn} line 20 column ")
+
     def test_index_row_short_of_columns_is_a_usage_error(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()

@@ -114,6 +114,37 @@ class TestLoadCorpus:
         with pytest.raises(IndexUnreadableError):
             load_corpus(index, tmp_path)
 
+    @pytest.mark.parametrize(
+        "raw_id", ["1_000", "\u0667", "\uff17", "+7", "-7", "7.0", "0x7", "7 7", "7" * 4301]
+    )
+    def test_id_other_than_ascii_digits_raises(self, tmp_path, raw_id):
+        # int() reads the first five as numbers, and refuses the last with
+        # a ValueError of its own: it is longer than int()'s digit limit.
+        with pytest.raises(IndexUnreadableError) as excinfo:
+            load_one(tmp_path, id=raw_id)
+        assert str(excinfo.value) == f"row 2: id {raw_id!r} is not an integer"
+
+    @pytest.mark.parametrize(
+        "raw_date",
+        # Python 3.11's date.fromisoformat reads the first three as 2018-03-05.
+        ["20180305", "2018-W10-1", "2018W101", "2018-3-5", "\u0662\u0660\u0661\u0668-03-05",
+         "2018-03-5", "2018-03-05T00:00", "2018-03-05 x", "2018-02-30"],
+    )
+    def test_date_other_than_yyyy_mm_dd_raises(self, tmp_path, raw_date):
+        with pytest.raises(IndexUnreadableError) as excinfo:
+            load_one(tmp_path, date=raw_date)
+        assert str(excinfo.value) == f"row 2: date {raw_date!r} is not ISO formatted"
+
+    @pytest.mark.parametrize(
+        "raw_id, raw_date",
+        [(" 7 ", " 2018-03-05 "), ("\t007", "2018-03-05\u00a0"), ("7\u3000", "\n2018-03-05")],
+    )
+    def test_id_and_date_may_carry_surrounding_whitespace(self, tmp_path, raw_id, raw_date):
+        index = write_index(tmp_path / "files_exploits.csv", [row(1, id=raw_id, date=raw_date)])
+        corpus = load_corpus(index, tmp_path)
+        assert list(corpus.records) == [7]
+        assert corpus.records[7].published == date(2018, 3, 5)
+
     def test_ancient_date_raises(self, tmp_path):
         index = write_index(tmp_path / "files_exploits.csv", [row(1, date="1970-01-01")])
         with pytest.raises(IndexUnreadableError):
@@ -302,12 +333,17 @@ def reference_load_index(path: Path):
         missing = sorted(column for column in _REQUIRED_INDEX_COLUMNS if row[column] is None)
         if missing:
             raise IndexUnreadableError(f"lacks columns: {', '.join(missing)}")
-        try:
-            edb_id = int(row["id"])
-        except ValueError:
+        raw_id = row["id"].strip()
+        if not (raw_id.isascii() and raw_id.isdigit()):
             raise IndexUnreadableError(f"id {row['id']!r} is not an integer")
+        edb_id = int(raw_id)
+        raw_date = row["date"].strip()
+        parts = raw_date[:4], raw_date[5:7], raw_date[8:]
         try:
-            published = date.fromisoformat(row["date"].strip())
+            digits = all(p.isascii() and p.isdigit() for p in parts)
+            if not (len(raw_date) == 10 and raw_date[4] == raw_date[7] == "-" and digits):
+                raise ValueError(raw_date)
+            published = date(*map(int, parts))
         except ValueError:
             raise IndexUnreadableError(f"date {row['date']!r} is not ISO formatted")
         if published < date(1999, 1, 1):
@@ -350,11 +386,14 @@ _free_cells = st.text(alphabet='ab ,"\n\r;\t', max_size=6)
 # Cells are mostly valid, so that most indexes load several records.
 _index_cells = {
     "id": st.integers(0, 11).flatmap(
-        lambda n: st.integers(1, 40).map(str) if n else st.sampled_from([" 7 ", "x", "", "1.0"])
+        lambda n: st.integers(1, 40).map(str) if n
+        else st.sampled_from([" 7 ", "x", "", "1.0", "1_0", "\u0667", "+7", "-7", "\t8\u00a0"])
     ),
     "date": st.integers(0, 11).flatmap(
         lambda n: st.sampled_from(
-            ["2018-03-05", " 2020-01-01\n"] if n else ["1998-12-31", "03/05/2018", ""]
+            ["2018-03-05", " 2020-01-01\n"] if n
+            else ["1998-12-31", "03/05/2018", "", "20180305", "2018-W10-1", "2018-02-30",
+                  "+018-03-05", "2018-03-5"]
         )
     ),
     "codes": st.sampled_from(

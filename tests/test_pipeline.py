@@ -239,6 +239,16 @@ class HollowSvnMirror(SvnMirror):
         return None
 
 
+class AdminSvnMirror(SvnMirror):
+    """Exports a plugin whose admin/ directory sits beside admin-ajax.php."""
+
+    def export(self, kind, slug, version, dest):
+        (dest / "admin").mkdir(parents=True)
+        (dest / "admin" / "menu.php").write_text("<?php\n", encoding="utf-8")
+        (dest / "admin-ajax.php").write_text("<?php\n", encoding="utf-8")
+        return f"admin-fixture/{slug}"
+
+
 class TestStagedEmission:
     def test_miss_that_created_dest_leaves_nothing_under_out_dir(self, e2e_corpus, services):
         services.sources.svn = HollowSvnMirror()
@@ -318,9 +328,18 @@ class TestOutcomeSerialization:
                 reason=FailureReason.NO_IMAGE,
             )
 
-    def test_json_round_trip_preserves_reporting_fields(self, e2e_corpus, services):
-        for edb_id in (101, 103, 107, 119):
-            outcome = generate(e2e_corpus.records[edb_id], services)
+    def test_json_round_trip_preserves_reporting_fields(self, e2e_corpus, services, tmp_path):
+        outcomes = [generate(e2e_corpus.records[i], services) for i in (101, 103, 107, 119)]
+        services.sources.svn = AdminSvnMirror()
+        services.out_dir = tmp_path / "admin-out"
+        admin = generate(e2e_corpus.records[103], services)
+        component = [f.path for f in admin.manifest.files if f.path.startswith("components/")]
+        # Sorted as whole strings, "admin-ajax.php" would come first.
+        assert component == [
+            "components/quiz-master/admin/menu.php",
+            "components/quiz-master/admin-ajax.php",
+        ]
+        for outcome in [*outcomes, admin]:
             rebuilt = GenerationOutcome.from_json_dict(
                 json.loads(json.dumps(outcome.to_json_dict()))
             )
@@ -330,5 +349,4 @@ class TestOutcomeSerialization:
             assert rebuilt.image == outcome.image
             assert rebuilt.sources == outcome.sources
             assert rebuilt.unused_app_archive == outcome.unused_app_archive
-            if outcome.manifest is not None:
-                assert rebuilt.manifest.digest_map() == outcome.manifest.digest_map()
+            assert rebuilt.manifest == outcome.manifest

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import json
+import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vulnwp.errors import UnknownRecordError
-from vulnwp.pipeline import GenerationOutcome, OutcomeStatus
+from vulnwp.errors import UnknownRecordError, VulnwpError
+from vulnwp.iac import BundleManifest, FileDigest
+from vulnwp.pipeline import FailureReason, GenerationOutcome, OutcomeStatus
 from vulnwp.reporting import (
     parse_report_json,
     read_outcomes,
@@ -18,6 +25,49 @@ from vulnwp.reporting import (
 from vulnwp.resolvers import TagIndex
 
 from conftest import E2E_BY_REASON, E2E_BY_SOURCE, E2E_EXPECTED, E2E_SUCCESS_COUNT
+
+
+# Path segments mix "-", "." and non-ASCII text with U+2028, which
+# str.splitlines (but not a file's line iteration) treats as a line break.
+_segments = st.text(
+    alphabet=["a", "b", "-", ".", "_", "\u00e9", "\u65e5", "\u2028", '"'], min_size=1, max_size=4
+)
+_texts = st.none() | st.text(alphabet=["x", "-", ".", "/", ":", "\u00fc", "\u2028", "\\"], max_size=6)
+
+
+@st.composite
+def outcomes(draw) -> GenerationOutcome:
+    """Any outcome write_outcomes may be given: successes with manifests in
+    emit order, every failure reason, and any elapsed float."""
+    reason = draw(st.none() | st.sampled_from(FailureReason))
+    manifest = None
+    if reason is None and draw(st.booleans()):
+        files = draw(st.dictionaries(
+            st.lists(_segments, min_size=1, max_size=3).map("/".join),
+            st.text(alphabet="0123456789abcdef", min_size=1, max_size=8),
+            max_size=5,
+        ))
+        manifest = BundleManifest(
+            bundle_dir=Path(draw(st.lists(_segments, min_size=1, max_size=3).map("/".join))),
+            files=tuple(FileDigest(p, files[p]) for p in sorted(files, key=lambda p: p.split("/"))),
+        )
+    return GenerationOutcome(
+        edb_id=draw(st.sampled_from(sorted(E2E_EXPECTED))),
+        status=OutcomeStatus.SUCCESS if reason is None else OutcomeStatus.FAILURE,
+        elapsed=draw(st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])),
+        reason=reason,
+        manifest=manifest,
+        image=draw(_texts),
+        sources=tuple(draw(st.lists(
+            st.sampled_from(["svn-repo", "software-link", "attached-archive"]) | st.text(max_size=3),
+            max_size=3,
+        ))),
+        unused_app_archive=draw(_texts),
+    )
+
+
+def encoded(outcome: GenerationOutcome) -> str:
+    return json.dumps(outcome.to_json_dict(), sort_keys=True)
 
 
 class CountingTagIndex(TagIndex):
@@ -136,8 +186,6 @@ class TestOutcomePersistence:
         assert summarize(loaded, corpus) == summarize(outcomes, corpus)
 
     def test_rows_are_one_json_object_per_line(self, batch, tmp_path):
-        import json
-
         _, outcomes = batch
         path = tmp_path / "outcomes.ndjson"
         write_outcomes(outcomes, path)
@@ -146,9 +194,9 @@ class TestOutcomePersistence:
         first = json.loads(lines[0])
         assert first["edb_id"] == outcomes[0].edb_id
 
-    def test_file_matches_per_row_json_dumps_byte_for_byte(self, batch, tmp_path):
-        import json
-
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(outcomes(), max_size=6))
+    def test_file_matches_per_row_json_dumps_byte_for_byte(self, batch, drawn):
         _, outcomes = batch
         extra = GenerationOutcome.from_json_dict(
             {
@@ -158,8 +206,106 @@ class TestOutcomePersistence:
                 "bundle": {"dir": "/out/ü\u2028\"99", "files": {"z": "1", "a": "é"}},
             }
         )
-        rows = [*outcomes, extra]
+        rows = [*outcomes, extra, *drawn]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "outcomes.ndjson"
+            write_outcomes(rows, path)
+            written = path.read_bytes()
+        expected = "".join(encoded(o) + "\n" for o in rows)
+        assert written == expected.encode("utf-8")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(outcomes(), max_size=8))
+    def test_write_then_read_gives_the_same_rows(self, batch, rows):
+        corpus, _ = batch
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "outcomes.ndjson"
+            write_outcomes(rows, path)
+            loaded = read_outcomes(path)
+        assert [encoded(o) for o in loaded] == [encoded(o) for o in rows]
+        assert [o.manifest for o in loaded] == [o.manifest for o in rows]
+        assert summarize(loaded, corpus) == summarize(rows, corpus)
+
+
+class TestReadingOtherRows:
+    """Rows write_outcomes does not write: what loads as before, and what is
+    refused with the file and line."""
+
+    @pytest.fixture
+    def rows(self, batch):
+        _, outcomes = batch
+        return [encoded(o) for o in outcomes[:3]]
+
+    def read(self, tmp_path, text: str | bytes):
         path = tmp_path / "outcomes.ndjson"
-        write_outcomes(rows, path)
-        expected = "".join(json.dumps(o.to_json_dict(), sort_keys=True) + "\n" for o in rows)
-        assert path.read_bytes() == expected.encode("utf-8")
+        if isinstance(text, str):
+            text = text.encode("utf-8")
+        path.write_bytes(text)
+        return [encoded(o) for o in read_outcomes(path)]
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            "{0}\n\n{1}\n   \n{2}\n",  # blank lines
+            "{0}\n{1}\n{2}",  # no final newline
+            "  {0}\t\n\u00a0{1}\x0c\n\u2028{2}\u3000\n",  # whitespace json.loads alone refuses
+            "{0}\r\n{1}\r{2}\r\n\r\n",  # other line endings
+        ],
+    )
+    def test_blank_lines_and_padded_rows_load(self, tmp_path, rows, layout):
+        assert self.read(tmp_path, layout.format(*rows)) == rows
+
+    def test_rows_with_only_the_required_keys_or_falsy_optional_ones_load(self, tmp_path):
+        path = tmp_path / "outcomes.ndjson"
+        path.write_text(
+            '{"edb_id": 101, "status": "success", "elapsed": 1}\n'
+            '{"edb_id": 102, "status": "success", "elapsed": 2, "reason": "", "bundle": {},'
+            ' "sources": "ab"}\n',
+            encoding="utf-8",
+        )
+        assert read_outcomes(path) == [
+            GenerationOutcome(edb_id=101, status=OutcomeStatus.SUCCESS, elapsed=1),
+            GenerationOutcome(
+                edb_id=102, status=OutcomeStatus.SUCCESS, elapsed=2, sources=("a", "b")
+            ),
+        ]
+
+    def test_an_empty_file_loads_no_rows(self, tmp_path):
+        assert self.read(tmp_path, "") == []
+        assert self.read(tmp_path, "\n \n") == []
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ('{"edb_id": 1, "status": "success", "elapsed": 0.5',
+             "line 3 column 50: Expecting ',' delimiter"),
+            ('{"edb_id": 1, "status": "success", "elapsed": 0.5} x', "line 3 column 52: Extra data"),
+            ("  {", "line 3 column 4: Expecting property name enclosed in double quotes"),
+            ('{"status": "success", "elapsed": 0.5}', "line 3: row lacks 'edb_id'"),
+            ('{"edb_id": 1, "status": "ok", "elapsed": 0.5}', "line 3: 'ok' is not a valid OutcomeStatus"),
+            ('{"edb_id": 1, "status": "failure", "reason": "nope", "elapsed": 0.5}',
+             "line 3: 'nope' is not a valid FailureReason"),
+            ('{"edb_id": 1, "status": "failure", "elapsed": 0.5}',
+             "line 3: failures carry a reason, successes do not"),
+            ('{"edb_id": 1, "status": ["success"], "elapsed": 0.5}',
+             "line 3: unhashable type: 'list'"),
+            ("[1, 2]", "line 3: a row is a JSON object, not list"),
+            ('"row"', "line 3: a row is a JSON object, not str"),
+            ("null", "line 3: a row is a JSON object, not NoneType"),
+        ],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, rows, bad, message):
+        with pytest.raises(VulnwpError) as excinfo:
+            self.read(tmp_path, f"{rows[0]}\n\n{bad}\n{rows[1]}\n")
+        assert type(excinfo.value) is VulnwpError
+        assert str(excinfo.value) == f"{tmp_path / 'outcomes.ndjson'} {message}"
+
+    def test_torn_last_row_names_its_line(self, tmp_path, rows):
+        text = "\n".join(rows) + "\n"
+        with pytest.raises(VulnwpError, match=r"outcomes\.ndjson line 3 column \d+: "):
+            self.read(tmp_path, text[:-20])
+
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, rows):
+        text = f"{rows[0]}\n{rows[1]}\n".encode("utf-8") + b'{"edb_id": 1, "x": "\xff"}\n'
+        with pytest.raises(VulnwpError, match=r"outcomes\.ndjson line 3: not UTF-8 text$"):
+            self.read(tmp_path, text)
