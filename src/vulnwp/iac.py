@@ -15,7 +15,15 @@ fetched straight into the staging directory (see staging_dir) are not
 copied again. The four rendered files are written with plain descriptor
 writes (os.open, then os.write until every byte is out), and setup.sh
 gets its executable mode on its open descriptor; they are hashed from
-memory and only the payload files are read back.
+memory and only the payload files are read back. provenance.json is
+laid out from a fixed template whose leaves go through the C string
+encoder; the bytes are those of json.dumps(payload, indent=2,
+sort_keys=True) plus a newline.
+
+The returned BundleManifest keeps the {relative path: sha256} map as
+emission built it and the bundle directory as given. Its files sorted by
+path parts, and the directory as a Path, are built only when first read,
+so an outcome row that only carries the map to disk costs no sort.
 
 Emission is byte deterministic: the same plan and the same injected
 timestamp always produce identical files.
@@ -145,22 +153,70 @@ class FileDigest:
     sha256: str
 
 
-@dataclass(frozen=True)
 class BundleManifest:
-    """Relative paths and content digests of everything emitted."""
+    """Relative paths and content digests of everything emitted.
 
-    bundle_dir: Path
-    files: tuple[FileDigest, ...]
+    A manifest holds the {relative path: sha256} map it was made from and
+    the bundle directory as it was given (a Path or a string). The sorted
+    FileDigest tuple behind .files and the Path behind .bundle_dir are
+    built on first read and kept, so a manifest that is only written out
+    again, or not looked at, costs no sorting and no Path. Equality,
+    hashing and repr go by (bundle_dir, files), as for a frozen dataclass
+    of those two fields.
+    """
+
+    __slots__ = ("_dir", "_digests", "_files")
+
+    def __init__(self, bundle_dir: Path | str, files: tuple[FileDigest, ...]) -> None:
+        """A manifest listing files in the order given; see from_digests."""
+        self._dir = bundle_dir
+        self._files = tuple(files)
+        self._digests = {f.path: f.sha256 for f in self._files}
 
     @classmethod
-    def from_digests(cls, bundle_dir: Path, digests: dict[str, str]) -> "BundleManifest":
+    def from_digests(cls, bundle_dir: Path | str, digests: dict[str, str]) -> "BundleManifest":
         """The manifest of digests ({relative path: sha256}), its files
-        sorted by path parts, so "a/y" comes before "a-b/x"."""
-        ordered = sorted(digests, key=lambda path: path.split("/"))
-        return cls(bundle_dir, tuple(FileDigest(path, digests[path]) for path in ordered))
+        sorted by path parts, so "a/y" comes before "a-b/x".
+
+        The manifest keeps digests itself rather than a copy; the caller
+        hands it over and must not change it afterwards.
+        """
+        manifest = cls.__new__(cls)
+        manifest._dir = bundle_dir
+        manifest._digests = digests
+        manifest._files = None
+        return manifest
+
+    @property
+    def bundle_dir(self) -> Path:
+        bundle_dir = self._dir
+        if not isinstance(bundle_dir, Path):
+            bundle_dir = self._dir = Path(bundle_dir)
+        return bundle_dir
+
+    @property
+    def files(self) -> tuple[FileDigest, ...]:
+        files = self._files
+        if files is None:
+            digests = self._digests
+            ordered = sorted(digests, key=lambda path: path.split("/"))
+            files = self._files = tuple(FileDigest(path, digests[path]) for path in ordered)
+        return files
 
     def digest_map(self) -> dict[str, str]:
-        return {f.path: f.sha256 for f in self.files}
+        """A copy of the {relative path: sha256} map."""
+        return dict(self._digests)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.bundle_dir, self.files) == (other.bundle_dir, other.files)
+
+    def __hash__(self) -> int:
+        return hash((self.bundle_dir, self.files))
+
+    def __repr__(self) -> str:
+        return f"BundleManifest(bundle_dir={self.bundle_dir!r}, files={self.files!r})"
 
 
 def app_image_name(edb_id: int) -> str:
@@ -293,27 +349,47 @@ def _render_setup_script(plan: EnvironmentPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The C encoder json.dumps uses for a string when ensure_ascii is set.
+_json_string = json.encoder.encode_basestring_ascii
+
+
 def _render_provenance(plan: EnvironmentPlan, generated_at: datetime) -> str:
-    payload = {
-        "edb_id": plan.edb_id,
-        "title": plan.title,
-        "generated_at": generated_at.isoformat(),
-        "image": {
-            "repository": plan.base_image.repository,
-            "tag": plan.base_image.tag,
-        },
-        "components": [
-            {
-                "kind": c.kind.value,
-                "slug": c.slug,
-                "version": str(c.version) if c.version else None,
-                "source": {"kind": c.source.kind.value, "locator": c.source.locator},
-            }
-            for c in plan.components
-        ],
-        "unused_app_archive": plan.unused_app_archive,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The provenance payload as json.dumps(payload, indent=2, sort_keys=True)
+    plus a newline would write it.
+
+    With indent set, json.dumps runs its pure-Python encoder. The layout
+    below is the one it gives this payload, keys in sorted order, and every
+    leaf is encoded as it would encode it: strings by the C string encoder,
+    the id by int.__repr__, None as null.
+    """
+    text = _json_string
+    components = ",\n".join(
+        "    {\n"
+        f'      "kind": {text(c.kind.value)},\n'
+        f'      "slug": {text(c.slug)},\n'
+        '      "source": {\n'
+        f'        "kind": {text(c.source.kind.value)},\n'
+        f'        "locator": {text(c.source.locator)}\n'
+        "      },\n"
+        f'      "version": {text(str(c.version)) if c.version else "null"}\n'
+        "    }"
+        for c in plan.components
+    )
+    image = plan.base_image
+    archive = plan.unused_app_archive
+    return (
+        "{\n"
+        + (f'  "components": [\n{components}\n  ],\n' if components else '  "components": [],\n')
+        + f'  "edb_id": {int.__repr__(plan.edb_id)},\n'
+        f'  "generated_at": {text(generated_at.isoformat())},\n'
+        '  "image": {\n'
+        f'    "repository": {text(image.repository)},\n'
+        f'    "tag": {text(image.tag)}\n'
+        "  },\n"
+        f'  "title": {text(plan.title)},\n'
+        f'  "unused_app_archive": {"null" if archive is None else text(archive)}\n'
+        "}\n"
+    )
 
 
 def staging_dir(bundle_dir: Path | str) -> Path:

@@ -129,11 +129,10 @@ class GenerationOutcome:
             "image": self.image,
             "sources": list(self.sources),
             "unused_app_archive": self.unused_app_archive,
+            # A copy of the manifest's digest map, in no particular order:
+            # the row encoder sorts its keys.
             "bundle": (
-                {
-                    "dir": str(manifest.bundle_dir),
-                    "files": {f.path: f.sha256 for f in manifest.files},
-                }
+                {"dir": str(manifest.bundle_dir), "files": manifest.digest_map()}
                 if manifest
                 else None
             ),
@@ -144,35 +143,72 @@ class GenerationOutcome:
         """Rebuild an outcome row persisted by to_json_dict.
 
         The full plan object does not round-trip; everything reporting
-        needs (status, reason, sources, digests) does. The manifest's files
-        come back in the order emit_bundle lists them (see
-        BundleManifest.from_digests). Raises KeyError, TypeError,
-        AttributeError or ValueError when the payload is not such a row.
+        needs (status, reason, sources, digests) does. The manifest keeps
+        the row's directory string and its digest map itself, not a copy,
+        and sorts its files, in the order emit_bundle lists them, only when
+        they are first read (see BundleManifest). Raises KeyError for a
+        missing key, TypeError naming the field for a value of the wrong
+        type, and ValueError for an unknown status or reason or a failure
+        without a reason.
         """
         get = payload.get
+        edb_id = payload["edb_id"]
+        status = payload["status"]
+        elapsed = payload["elapsed"]
+        reason = get("reason")
+        image = get("image")
+        sources = get("sources", [])
+        archive = get("unused_app_archive")
         bundle = get("bundle")
+        if type(edb_id) is not int:
+            raise _wrong_type("edb_id", "an integer", edb_id)
+        if type(status) is not str:
+            raise _wrong_type("status", "a string", status)
+        if type(elapsed) is not float and type(elapsed) is not int:
+            raise _wrong_type("elapsed", "a number", elapsed)
+        if reason is not None and type(reason) is not str:
+            raise _wrong_type("reason", "a string or null", reason)
+        if image is not None and type(image) is not str:
+            raise _wrong_type("image", "a string or null", image)
+        if archive is not None and type(archive) is not str:
+            raise _wrong_type("unused_app_archive", "a string or null", archive)
+        if type(sources) is not list or not set(map(type, sources)) <= _STR_TYPE:
+            raise _wrong_type("sources", "a list of strings", sources)
+        if bundle is not None and type(bundle) is not dict:
+            raise _wrong_type("bundle", "an object or null", bundle)
         manifest = None
         if bundle:
-            manifest = BundleManifest.from_digests(Path(bundle["dir"]), bundle["files"])
-        status = payload["status"]
-        reason = get("reason")
+            bundle_dir = bundle["dir"]
+            files = bundle["files"]
+            if type(bundle_dir) is not str:
+                raise _wrong_type("bundle dir", "a string", bundle_dir)
+            if type(files) is not dict:
+                raise _wrong_type("bundle files", "an object", files)
+            if not set(map(type, files)) | set(map(type, files.values())) <= _STR_TYPE:
+                raise TypeError("bundle files must map strings to strings")
+            manifest = BundleManifest.from_digests(bundle_dir, files)
         # Dict lookups stand in for the enum calls, which still run (and
         # raise) for a value no member has.
         return cls(
-            payload["edb_id"],
+            edb_id,
             _STATUS_BY_VALUE.get(status) or OutcomeStatus(status),
-            payload["elapsed"],
+            elapsed,
             (_REASON_BY_VALUE.get(reason) or FailureReason(reason)) if reason else None,
             None,
             manifest,
-            get("image"),
-            tuple(get("sources", ())),
-            get("unused_app_archive"),
+            image,
+            tuple(sources),
+            archive,
         )
 
 
 _STATUS_BY_VALUE = {status.value: status for status in OutcomeStatus}
 _REASON_BY_VALUE = {reason.value: reason for reason in FailureReason}
+_STR_TYPE = {str}
+
+
+def _wrong_type(name: str, wanted: str, value: object) -> TypeError:
+    return TypeError(f"{name} must be {wanted}, not {type(value).__name__}")
 
 
 @dataclass

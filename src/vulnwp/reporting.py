@@ -225,7 +225,9 @@ def read_outcomes(path: Path | str) -> list[GenerationOutcome]:
     row is allowed. Raises VulnwpError naming the file and the 1-based
     line of the first row that is not an outcome row: text that is not
     UTF-8 or not one JSON value, a value that is not an object, a missing
-    key, an unknown status or reason, or a failure without a reason.
+    key, a field of the wrong type (named in the message), an unknown
+    status or reason, or a failure without a reason. Each row's manifest
+    keeps the row's digest map; its sorted files are built only if read.
     """
     path = Path(path)
     decode = _ROW_DECODER.decode

@@ -12,16 +12,22 @@ from pathlib import Path
 import jsonschema
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vulnwp.config import GeneratorConfig
 from vulnwp.errors import BundleWriteError
+from vulnwp.pipeline import GenerationOutcome, OutcomeStatus
 from vulnwp.iac import (
     BUNDLE_FILES,
+    BundleManifest,
     EnvironmentPlan,
+    FileDigest,
     SetupStep,
     StepKind,
     app_image_name,
     build_plan,
+    _render_provenance,
     emit_bundle,
     provenance_schema,
     render_step_argv,
@@ -483,3 +489,133 @@ class TestComposeSubset:
 
 def test_app_image_name_is_id_scoped():
     assert app_image_name(103) == "vulnwp-103"
+
+
+# Text with quotes, backslashes, control characters, non-ASCII letters,
+# line separators and lone surrogates, all of which JSON escapes.
+_texts = st.text(st.characters(blacklist_categories=()), max_size=10) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\u00e9\u65e5\u2028", "\ud800", "a\"b\\c\n"]
+)
+
+
+@st.composite
+def provenance_plans(draw) -> EnvironmentPlan:
+    slugs = draw(st.lists(_texts.filter(bool), unique=True, max_size=3))
+    components = [
+        FetchedComponent(
+            kind=draw(st.sampled_from(ComponentKind)),
+            slug=slug,
+            version=draw(st.none() | st.lists(st.integers(0, 10**6), min_size=1, max_size=4).map(
+                lambda segments: Version(tuple(segments), ".".join(map(str, segments)))
+            )),
+            source=ComponentSource(draw(st.sampled_from(SourceKind)), draw(_texts.filter(bool))),
+            payload_path=Path("unused"),
+        )
+        for slug in slugs
+    ]
+    image = ImageRef(draw(_texts), draw(_texts), Version.parse("5.0"))
+    return build_plan(
+        parse_title("WordPress Plugin Sample 1.0 - XSS"),
+        image,
+        components,
+        CONFIG,
+        edb_id=draw(st.integers(-(10**12), 10**12)),
+        title=draw(_texts),
+        unused_app_archive=draw(st.none() | _texts),
+    )
+
+
+def reference_provenance(plan: EnvironmentPlan, generated_at: datetime) -> str:
+    payload = {
+        "edb_id": plan.edb_id,
+        "title": plan.title,
+        "generated_at": generated_at.isoformat(),
+        "image": {"repository": plan.base_image.repository, "tag": plan.base_image.tag},
+        "components": [
+            {
+                "kind": c.kind.value,
+                "slug": c.slug,
+                "version": str(c.version) if c.version else None,
+                "source": {"kind": c.source.kind.value, "locator": c.source.locator},
+            }
+            for c in plan.components
+        ],
+        "unused_app_archive": plan.unused_app_archive,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class TestProvenanceRendering:
+    @settings(max_examples=300, deadline=None)
+    @given(provenance_plans(), st.datetimes(timezones=st.none() | st.just(timezone.utc)))
+    def test_matches_the_indenting_json_encoder(self, plan, generated_at):
+        assert _render_provenance(plan, generated_at) == reference_provenance(plan, generated_at)
+
+    def test_no_components_and_a_null_version(self, tmp_path):
+        core = core_plan()
+        assert '"components": [],' in _render_provenance(core, STAMP)
+        assert _render_provenance(core, STAMP) == reference_provenance(core, STAMP)
+        component = replace(make_component(tmp_path, "sample"), version=None)
+        title = "WordPress Plugin Sample - XSS"
+        plan = build_plan(parse_title(title), IMAGE, [component], CONFIG, edb_id=9, title=title)
+        assert '"version": null' in _render_provenance(plan, STAMP)
+        assert _render_provenance(plan, STAMP) == reference_provenance(plan, STAMP)
+
+
+class TestBundleManifest:
+    @given(st.permutations(["components/a-b/x.php", "Dockerfile", "components/a/y.php", "setup.sh"]))
+    def test_files_sort_by_path_parts_whatever_the_insertion_order(self, paths):
+        manifest = BundleManifest.from_digests("out/1", {path: "0" for path in paths})
+        assert [f.path for f in manifest.files] == [
+            "Dockerfile", "components/a/y.php", "components/a-b/x.php", "setup.sh",
+        ]
+
+    def emitted(self, tmp_path) -> BundleManifest:
+        payload = tmp_path / "payloads" / "nested"
+        (payload / "a").mkdir(parents=True)
+        (payload / "a-b").mkdir()
+        (payload / "a-b" / "x.php").write_bytes(b"<?php // x\n")
+        (payload / "a" / "y.php").write_bytes(b"<?php // y\n")
+        component = replace(make_component(tmp_path, "nested"), payload_path=payload)
+        title = "WordPress Plugin Nested 1.0 - XSS"
+        plan = build_plan(parse_title(title), IMAGE, [component], CONFIG, edb_id=7, title=title)
+        return emit_bundle(plan, str(tmp_path / "bundle"), generated_at=STAMP)
+
+    def test_a_manifest_read_back_from_a_row_equals_the_emitted_one(self, tmp_path):
+        emitted = self.emitted(tmp_path)
+        outcome = GenerationOutcome(
+            edb_id=7, status=OutcomeStatus.SUCCESS, elapsed=0.0, manifest=emitted
+        )
+        row = json.loads(json.dumps(outcome.to_json_dict(), sort_keys=True))
+        read_back = GenerationOutcome.from_json_dict(row).manifest
+        eager = BundleManifest(
+            tmp_path / "bundle",
+            tuple(FileDigest(f.path, f.sha256) for f in emitted.files),
+        )
+        assert read_back == emitted == eager
+        assert hash(read_back) == hash(emitted) == hash(eager)
+        assert repr(read_back) == repr(emitted) == repr(eager)
+        paths = [f.path for f in read_back.files]
+        assert paths.index("components/nested/a/y.php") < paths.index("components/nested/a-b/x.php")
+
+    def test_bundle_dir_is_a_path_whether_emitted_or_read_back(self, tmp_path):
+        emitted = self.emitted(tmp_path)
+        row = {"edb_id": 7, "status": "success", "elapsed": 0.0,
+               "bundle": {"dir": str(tmp_path / "bundle"), "files": emitted.digest_map()}}
+        read_back = GenerationOutcome.from_json_dict(row).manifest
+        assert type(emitted.bundle_dir) is type(read_back.bundle_dir) is type(tmp_path)
+        assert emitted.bundle_dir == read_back.bundle_dir == tmp_path / "bundle"
+
+    def test_changing_the_digest_map_copy_leaves_the_manifest_alone(self):
+        manifest = BundleManifest.from_digests("out/1", {"Dockerfile": "aa", "setup.sh": "bb"})
+        copy = manifest.digest_map()
+        copy["Dockerfile"] = "changed"
+        copy["extra"] = "cc"
+        assert manifest.digest_map() == {"Dockerfile": "aa", "setup.sh": "bb"}
+        assert manifest.files == (FileDigest("Dockerfile", "aa"), FileDigest("setup.sh", "bb"))
+
+    def test_eager_files_keep_their_order(self):
+        files = (FileDigest("setup.sh", "bb"), FileDigest("Dockerfile", "aa"))
+        manifest = BundleManifest(Path("out/1"), files)
+        assert manifest.files == files
+        assert manifest != BundleManifest.from_digests("out/1", manifest.digest_map())

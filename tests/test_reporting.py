@@ -260,15 +260,27 @@ class TestReadingOtherRows:
         path.write_text(
             '{"edb_id": 101, "status": "success", "elapsed": 1}\n'
             '{"edb_id": 102, "status": "success", "elapsed": 2, "reason": "", "bundle": {},'
-            ' "sources": "ab"}\n',
+            ' "sources": []}\n',
             encoding="utf-8",
         )
         assert read_outcomes(path) == [
             GenerationOutcome(edb_id=101, status=OutcomeStatus.SUCCESS, elapsed=1),
-            GenerationOutcome(
-                edb_id=102, status=OutcomeStatus.SUCCESS, elapsed=2, sources=("a", "b")
-            ),
+            GenerationOutcome(edb_id=102, status=OutcomeStatus.SUCCESS, elapsed=2),
         ]
+
+    def test_elapsed_may_be_an_integer_nan_or_infinite(self, tmp_path):
+        path = tmp_path / "outcomes.ndjson"
+        path.write_text(
+            "".join(
+                f'{{"edb_id": 101, "status": "success", "elapsed": {value}}}\n'
+                for value in ("3", "NaN", "Infinity", "-Infinity")
+            ),
+            encoding="utf-8",
+        )
+        elapsed = [o.elapsed for o in read_outcomes(path)]
+        assert elapsed[0] == 3 and type(elapsed[0]) is int
+        assert math.isnan(elapsed[1])
+        assert elapsed[2:] == [math.inf, -math.inf]
 
     def test_an_empty_file_loads_no_rows(self, tmp_path):
         assert self.read(tmp_path, "") == []
@@ -288,7 +300,42 @@ class TestReadingOtherRows:
             ('{"edb_id": 1, "status": "failure", "elapsed": 0.5}',
              "line 3: failures carry a reason, successes do not"),
             ('{"edb_id": 1, "status": ["success"], "elapsed": 0.5}',
-             "line 3: unhashable type: 'list'"),
+             "line 3: status must be a string, not list"),
+            ('{"edb_id": "202", "status": "success", "elapsed": 0.5}',
+             "line 3: edb_id must be an integer, not str"),
+            ('{"edb_id": true, "status": "success", "elapsed": 0.5}',
+             "line 3: edb_id must be an integer, not bool"),
+            ('{"edb_id": 1.0, "status": "success", "elapsed": 0.5}',
+             "line 3: edb_id must be an integer, not float"),
+            ('{"edb_id": 1, "status": "success", "elapsed": "slow"}',
+             "line 3: elapsed must be a number, not str"),
+            ('{"edb_id": 1, "status": "success", "elapsed": true}',
+             "line 3: elapsed must be a number, not bool"),
+            ('{"edb_id": 1, "status": "failure", "reason": 7, "elapsed": 0.5}',
+             "line 3: reason must be a string or null, not int"),
+            ('{"edb_id": 1, "status": "success", "reason": false, "elapsed": 0.5}',
+             "line 3: reason must be a string or null, not bool"),
+            ('{"edb_id": 1, "status": "success", "elapsed": 0.5, "image": 5}',
+             "line 3: image must be a string or null, not int"),
+            ('{"edb_id": 1, "status": "success", "elapsed": 0.5, "unused_app_archive": []}',
+             "line 3: unused_app_archive must be a string or null, not list"),
+            ('{"edb_id": 1, "status": "success", "elapsed": 0.5, "sources": "ab"}',
+             "line 3: sources must be a list of strings, not str"),
+            ('{"edb_id": 1, "status": "success", "elapsed": 0.5, "sources": ["a", 1]}',
+             "line 3: sources must be a list of strings, not list"),
+            ('{"edb_id": 1, "status": "success", "elapsed": 0.5, "sources": null}',
+             "line 3: sources must be a list of strings, not NoneType"),
+            ('{"edb_id": 1, "status": "success", "elapsed": 0.5, "bundle": ["x"]}',
+             "line 3: bundle must be an object or null, not list"),
+            ('{"edb_id": 1, "status": "success", "elapsed": 0.5, "bundle": {"dir": 1, "files": {}}}',
+             "line 3: bundle dir must be a string, not int"),
+            ('{"edb_id": 1, "status": "success", "elapsed": 0.5, "bundle": {"dir": "d", "files": []}}',
+             "line 3: bundle files must be an object, not list"),
+            ('{"edb_id": 1, "status": "success", "elapsed": 0.5,'
+             ' "bundle": {"dir": "d", "files": {"Dockerfile": "ab", "setup.sh": null}}}',
+             "line 3: bundle files must map strings to strings"),
+            ('{"edb_id": 1, "status": "success", "elapsed": 0.5, "bundle": {"files": {}}}',
+             "line 3: row lacks 'dir'"),
             ("[1, 2]", "line 3: a row is a JSON object, not list"),
             ('"row"', "line 3: a row is a JSON object, not str"),
             ("null", "line 3: a row is a JSON object, not NoneType"),
