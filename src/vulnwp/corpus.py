@@ -4,12 +4,14 @@ The on-disk layout mirrors a public exploit database dump: a CSV index
 (columns id, file, description, date, author, type, platform, and an
 optional codes column with semicolon separated CVE ids), PoC files
 referenced by relative path, and optional attached application archives
-named <edb_id>.zip. Each PoC is read with one open, and a path that is
-not a regular file reads as a missing PoC. Only the head of a PoC is
-kept: the first POC_HEAD_LINES lines, which are all the header and
-version scans read. The header is parsed from the head at load; the head
-itself is kept only when the version body scan could match in it (see
-ExploitRecord).
+named <edb_id>.zip. Loading checks each PoC path once, and a path that
+is not a regular file reads as a missing PoC. A PoC is read, with one
+open, when its record's poc_text or poc_header is first used, so a
+command reads only the PoCs it needs and the corpus tree must stay in
+place until the command ends. Only the head of a PoC is kept: the first
+POC_HEAD_LINES lines, which are all the header and version scans read.
+The header is parsed from the head; the head itself is kept only when
+the version body scan could match in it (see ExploitRecord).
 """
 
 from __future__ import annotations
@@ -69,6 +71,13 @@ class ExploitRecord:
     the same scan result. A non-ASCII head is always kept because the
     case-insensitive scan also matches spellings such as "verſion" or
     "versıon", which lower() does not turn into "version".
+
+    The constructor takes both fields as given. A record from load_corpus
+    keeps its PoC path instead and fills both fields the first time
+    either is read; after that it equals, and reprs as, a record built
+    with the same values. A PoC that is gone or no longer a regular file
+    by then reads as an empty head, with a logged warning; any other
+    OSError from the read propagates to the reader.
     """
 
     edb_id: int
@@ -81,6 +90,28 @@ class ExploitRecord:
     poc_text: str
     poc_header: dict[str, str]
     app_archive: Path | None = None
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: on a record that
+        # load_corpus built, poc_text and poc_header until the PoC is read.
+        # Threads that reach such a record at once may each read the PoC;
+        # they store equal values.
+        path = getattr(self, "_poc_path", None) if name in _POC_FIELDS else None
+        if path is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}",
+                                 name=name, obj=self)
+        head = _read_poc_head(path)
+        if head is None:
+            logger.warning("PoC file %s for exploit %s is gone or not a regular file, "
+                           "read as empty", path, self.edb_id)
+            head = "", []
+        text, lines = head
+        object.__setattr__(self, "poc_header", _scan_header(lines))
+        object.__setattr__(self, "poc_text", text if _body_scan_can_match(text) else "")
+        return getattr(self, name)
+
+
+_POC_FIELDS = ("poc_text", "poc_header")
 
 
 @dataclass
@@ -198,19 +229,10 @@ def _read_poc_head(path: str) -> tuple[str, list[str]] | None:
     as one text and as lines, or None when it is not a regular file."""
     data = _read_regular_file(path)
     if data is None:
-        # Settle the rare rest (a failed open, a FIFO, a directory) with
-        # stat, then as pathlib does: it drops a trailing "/" and raises on
-        # stat errors other than a missing or looping path.
-        try:
-            regular = stat.S_ISREG(os.stat(path).st_mode)
-        except (OSError, ValueError):
-            regular = False
-        poc: str | Path = path
-        if not regular:
-            poc = Path(path)
-            if not poc.is_file():
-                return None
-        with open(poc, "rb", buffering=0) as handle:
+        # The rare rest: a failed open, a FIFO, a directory.
+        if not _is_regular_file(path):
+            return None
+        with open(Path(path), "rb", buffering=0) as handle:
             data = handle.read()
     text = data.decode("utf-8", errors="replace")
     lines = text.splitlines(keepends=True)
@@ -218,6 +240,18 @@ def _read_poc_head(path: str) -> tuple[str, list[str]] | None:
         del lines[POC_HEAD_LINES:]
         text = "".join(lines)
     return text, lines
+
+
+def _is_regular_file(path: str) -> bool:
+    """Whether path is a regular file or a link to one: by stat, then as
+    pathlib decides, which drops a trailing "/" and raises on stat errors
+    other than a missing or looping path."""
+    try:
+        if stat.S_ISREG(os.stat(path).st_mode):
+            return True
+    except (OSError, ValueError):
+        pass
+    return Path(path).is_file()
 
 
 def _read_regular_file(path: str) -> bytes | None:
@@ -264,13 +298,15 @@ def load_corpus(index_path: Path | str, files_root: Path | str) -> Corpus:
 
     The index's file column is relative to files_root; attached archives
     are read from <files_root>/apps/<edb_id>.zip, a regular file or a link
-    to one; the snapshot date is today. Each record's header is parsed
-    from the first POC_HEAD_LINES lines of its PoC, and those lines are
-    kept as poc_text only when the version body scan could match in them
-    (see ExploitRecord). Each PoC is opened once: a path that opens as
-    anything but a regular file (a directory, a FIFO, a device) is a
-    missing PoC, like a path that does not exist. A row whose PoC file is
-    missing still yields a record (empty poc_text) and a corpus warning.
+    to one; the snapshot date is today. Each PoC path is checked once,
+    and read only when its record's poc_text or poc_header is first used
+    (see ExploitRecord): the header is parsed from the first
+    POC_HEAD_LINES lines, which are kept as poc_text only when the version
+    body scan could match in them. A path that is anything but a regular
+    file or a link to one (a directory, a FIFO, a device, a dangling link)
+    is a missing PoC, like a path that does not exist. A row whose PoC
+    file is missing still yields a record (empty poc_text and poc_header)
+    and a corpus warning.
     Blank index lines are skipped. Raises IndexUnreadableError for a
     missing or malformed index, including a row that lacks a required
     column, naming a row by the index line it starts on, and
@@ -294,6 +330,7 @@ def load_corpus(index_path: Path | str, files_root: Path | str) -> Corpus:
     platform_at = columns["platform"]
     codes_at = columns.get("codes")
     app_names = _list_names(apps_root)
+    set_attribute, delete_attribute = object.__setattr__, object.__delattr__
     records: dict[int, ExploitRecord] = {}
     warnings: list[str] = []
     for row_number, row in rows:
@@ -301,17 +338,10 @@ def load_corpus(index_path: Path | str, files_root: Path | str) -> Corpus:
         if edb_id in records:
             raise DuplicateIdError(f"exploit id {edb_id} appears more than once in {index_path}")
 
-        head = _read_poc_head(os.path.join(root, rel_file))
-        if head is None:
-            head = "", []
-            warnings.append(f"{edb_id}: PoC file {rel_file} missing, record loaded without text")
-            logger.warning("PoC file %s missing for exploit %s", rel_file, edb_id)
-        head_text, head_lines = head
-
         codes = row[codes_at] if codes_at is not None and codes_at < len(row) else None
         archive_name = f"{edb_id}.zip"
         archive = apps_root / archive_name if archive_name in app_names else None
-        records[edb_id] = ExploitRecord(
+        record = ExploitRecord(
             edb_id=edb_id,
             title=row[description_at].strip(),
             author=sys.intern(row[author_at].strip()),
@@ -319,10 +349,23 @@ def load_corpus(index_path: Path | str, files_root: Path | str) -> Corpus:
             published=published,
             platform=sys.intern(row[platform_at].strip()),
             cve_ids=_parse_cve_codes(codes),
-            poc_text=head_text if _body_scan_can_match(head_text) else "",
-            poc_header=_scan_header(head_lines),
+            poc_text="",
+            poc_header={},
             app_archive=archive if archive is not None and archive.is_file() else None,
         )
+        poc_path = os.path.join(root, rel_file)
+        if _is_regular_file(poc_path):
+            # Drop the PoC fields, so that their first read fills them (see
+            # ExploitRecord). Deleting them, rather than never setting them,
+            # keeps the attribute order the records share, and with it their
+            # compact attribute storage.
+            delete_attribute(record, "poc_text")
+            delete_attribute(record, "poc_header")
+            set_attribute(record, "_poc_path", poc_path)
+        else:
+            warnings.append(f"{edb_id}: PoC file {rel_file} missing, record loaded without text")
+            logger.warning("PoC file %s missing for exploit %s", rel_file, edb_id)
+        records[edb_id] = record
 
     return Corpus(
         records=records,

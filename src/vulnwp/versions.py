@@ -207,8 +207,9 @@ def extract_version_from_poc(record: ExploitRecord) -> VersionConstraint | None:
     Otherwise the first POC_HEAD_LINES (60) lines of the PoC text are
     scanned, case-insensitively, for the word "version" followed by a
     colon or whitespace and an expression in the constraint grammar. A
-    loaded record keeps that text only when this scan could match in it
-    (a non-ASCII head, or one holding "version" in any case), so an empty
+    loaded record reads its PoC here, at the first use of its header or
+    text, and keeps that text only when this scan could match in it (a
+    non-ASCII head, or one holding "version" in any case), so an empty
     poc_text gives the same result. Returns None when neither source
     yields one.
     """

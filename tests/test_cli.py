@@ -1,16 +1,25 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 import yaml
 
 import vulnwp.pipeline
+import vulnwp.reporting
 from vulnwp.bootstrap import SimulatedClock
 from vulnwp.cli import main
+from vulnwp.resolvers import DiskSvnMirror
+from vulnwp.titles import ExploitCategory, parse_title
 
+from conftest import E2E_RECORDS, E2ETree
 from test_bootstrap import RecordingExecutor, ScriptedClient
+from test_corpus import poc_reads, refuse_reading  # noqa: F401  (poc_reads is a fixture)
+
+_DEMO_DIR = Path(__file__).resolve().parent.parent / "data" / "demo"
+DEMO = E2ETree(corpus_dir=_DEMO_DIR / "corpus", fixtures_dir=_DEMO_DIR / "fixtures")
 
 
 def base_args(e2e_tree, out: Path) -> list[str]:
@@ -282,3 +291,117 @@ class TestBatchAndStats:
         code = main(["--corpus", str(corpus), "stats", str(tmp_path / "absent.ndjson")])
         assert code == 1
         assert capsys.readouterr().err == "error: row 2: lacks columns: author, platform, type\n"
+
+
+def read_ids(reads: list[str]) -> list[int]:
+    """The exploit ids of PoCs read, for trees that name PoCs exploits/<id>.txt."""
+    return [int(Path(path).stem) for path in reads]
+
+
+class TestPocsReadAtFirstUse:
+    def test_stats_reads_no_poc(self, e2e_tree, tmp_path, capsys, poc_reads):
+        out = tmp_path / "out"
+        assert main(base_args(e2e_tree, out) + ["batch"]) == 0
+        poc_reads.clear()
+        assert main(base_args(e2e_tree, out) + ["stats", str(out / "outcomes.ndjson")]) == 0
+        assert poc_reads == []
+
+    @pytest.mark.parametrize("edb_id", sorted(E2E_RECORDS))
+    def test_generate_reads_at_most_the_records_own_poc(
+        self, e2e_tree, tmp_path, capsys, poc_reads, edb_id
+    ):
+        main(base_args(e2e_tree, tmp_path / "out") + ["generate", "--edb-id", str(edb_id)])
+        assert read_ids(poc_reads) in ([], [edb_id])
+
+    @pytest.mark.parametrize("tree", ["demo", "e2e"])
+    def test_batch_reads_only_versionless_or_svn_missed_pocs(
+        self, e2e_tree, tmp_path, capsys, monkeypatch, poc_reads, tree
+    ):
+        tree = DEMO if tree == "demo" else e2e_tree
+        current: list[int] = []
+        svn_missed: set[int] = set()
+        generate, export = vulnwp.reporting.generate, DiskSvnMirror.export
+
+        def tracking_generate(record, *args, **kwargs):
+            current.append(record.edb_id)
+            return generate(record, *args, **kwargs)
+
+        def tracking_export(self, *args, **kwargs):
+            locator = export(self, *args, **kwargs)
+            if locator is None:
+                svn_missed.add(current[-1])
+            return locator
+
+        monkeypatch.setattr(vulnwp.reporting, "generate", tracking_generate)
+        monkeypatch.setattr(DiskSvnMirror, "export", tracking_export)
+        assert main(base_args(tree, tmp_path / "out") + ["batch"]) == 0
+        corpus = tree.load()
+        versionless = set()
+        for record in corpus:
+            parsed = parse_title(record.title)
+            if parsed.category is not ExploitCategory.UNCATEGORIZED and parsed.version_expr is None:
+                versionless.add(record.edb_id)
+        reads = read_ids(poc_reads)
+        assert len(reads) == len(set(reads))
+        assert set(reads) == versionless | svn_missed
+        if tree is e2e_tree:
+            assert 0 < len(reads) < len(corpus)
+
+    @pytest.mark.parametrize("command", [["generate", "--edb-id", "110"], ["batch"]])
+    def test_unreadable_poc_is_a_usage_error(
+        self, e2e_tree, tmp_path, capsys, monkeypatch, command
+    ):
+        # Record 110's title has no version, so its PoC is read.
+        poc = os.path.join(e2e_tree.corpus_dir, "exploits", "110.txt")
+        refuse_reading(monkeypatch, poc)
+        out = tmp_path / "out"
+        code = main(base_args(e2e_tree, out) + command)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: [Errno 13] Permission denied: '{poc}'\n"
+        assert "Traceback" not in captured.err
+        assert not (out / "outcomes.ndjson").exists()
+
+
+class TestComposeValuesYamlMisreads:
+    @pytest.mark.parametrize(
+        "database, named",
+        [
+            ({"password": "pw #x"}, "password"),
+            # The first field in DatabaseSpec order is named.
+            ({"password": "pw #x", "user": "a: b"}, "user"),
+            ({"user": "a: b"}, "user"),
+            ({"password": "123"}, "password"),
+            ({"root_password": "true"}, "root_password"),
+            ({"name": "~"}, "name"),
+            ({"user": " wordpress"}, "user"),
+            ({"image": "mysql:5.7 #latest"}, "image"),
+        ],
+    )
+    def test_value_yaml_would_misread_is_refused(self, tmp_path, capsys, database, named):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"database": database}), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(base_args(DEMO, out) + ["--config", str(config), "batch"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: database.{named} {database[named]!r} would not read back from the "
+            "compose file as the same string\n"
+        )
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_values_yaml_reads_back_pass_and_reach_the_compose_file(self, tmp_path, capsys):
+        database = {"password": "pw#x", "user": "a:b", "name": "wp-1.2", "root_password": "x y"}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"database": database}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(base_args(DEMO, out) + ["--config", str(config), "batch"]) == 0
+        compose = yaml.safe_load((out / "202" / "docker-compose.yml").read_text(encoding="utf-8"))
+        environment = compose["services"]["db"]["environment"]
+        assert environment["MYSQL_PASSWORD"] == "pw#x"
+        assert environment["MYSQL_USER"] == "a:b"
+        assert environment["MYSQL_DATABASE"] == "wp-1.2"
+        assert environment["MYSQL_ROOT_PASSWORD"] == "x y"

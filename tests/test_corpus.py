@@ -4,6 +4,7 @@ import csv
 import io
 import os
 import re
+import sys
 import tempfile
 import threading
 from datetime import date
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vulnwp.corpus as corpus_module
 from vulnwp.corpus import POC_HEAD_LINES, load_corpus, parse_poc_header
 from vulnwp.errors import DuplicateIdError, IndexUnreadableError
 from vulnwp.versions import Version, VersionConstraint, extract_version_from_poc
@@ -49,6 +51,37 @@ def write_poc(root: Path, edb_id: int, text: str) -> None:
     path = root / "exploits" / f"{edb_id}.txt"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(text.encode("utf-8"))
+
+
+@pytest.fixture()
+def poc_reads(monkeypatch) -> list[str]:
+    """The path of every PoC read while the test runs, in order."""
+    reads: list[str] = []
+    read = corpus_module._read_poc_head
+
+    def counting_read(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(corpus_module, "_read_poc_head", counting_read)
+    return reads
+
+
+def refuse_reading(monkeypatch, poc: str) -> None:
+    """Make opening the PoC at poc fail as a file mode of 000 would for a
+    user other than root: both ways the reader opens a file raise."""
+    real_os_open = os.open
+
+    def refusing_os_open(path, *args, **kwargs):
+        if os.fspath(path) == poc:
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return real_os_open(path, *args, **kwargs)
+
+    def refusing_open(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", os.fspath(path))
+
+    monkeypatch.setattr(os, "open", refusing_os_open)
+    monkeypatch.setattr(corpus_module, "open", refusing_open, raising=False)
 
 
 def load_one(root: Path, text: str | None = None, **overrides):
@@ -520,7 +553,7 @@ class TestHeaderScanMatchesReference:
     def test_loaded_record(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             record = load_one(Path(tmp), text).records[1]
-        assert record.poc_header == reference_parse_poc_header(text)
+            assert record.poc_header == reference_parse_poc_header(text)
         head = "".join(text.splitlines(keepends=True)[:60])
         kept = not head.isascii() or "version" in head.lower()
         assert record.poc_text == (head if kept else "")
@@ -534,9 +567,9 @@ class TestHeaderScanMatchesReference:
     def test_version_scan_reads_as_on_the_full_head(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             loaded = load_one(Path(tmp), text).records[1]
-        head = "".join(text.splitlines(keepends=True)[:60])
-        full = make_record(edb_id=1, poc_text=head, header=reference_parse_poc_header(text))
-        assert extract_version_from_poc(loaded) == extract_version_from_poc(full)
+            head = "".join(text.splitlines(keepends=True)[:60])
+            full = make_record(edb_id=1, poc_text=head, header=reference_parse_poc_header(text))
+            assert extract_version_from_poc(loaded) == extract_version_from_poc(full)
 
 
 class TestPocHeader:
@@ -596,3 +629,116 @@ class TestPocHeader:
 
     def test_empty_text_gives_empty_header(self):
         assert parse_poc_header("") == {}
+
+
+class TestPocReadAtFirstUse:
+    def test_load_reads_no_poc_and_first_use_reads_one_once(self, tmp_path, poc_reads):
+        for edb_id in (1, 2, 3):
+            write_poc(tmp_path, edb_id, f"# Version: {edb_id}.0\n")
+        index = write_index(tmp_path / "files_exploits.csv", [row(1), row(2), row(3)])
+        corpus = load_corpus(index, tmp_path)
+        assert poc_reads == []
+        record = corpus.records[2]
+        assert record.poc_header == {"version": "2.0"}
+        assert record.poc_text == "# Version: 2.0\n"
+        assert record.poc_header == {"version": "2.0"}
+        assert extract_version_from_poc(record) == VersionConstraint.exact(Version.parse("2.0"))
+        assert poc_reads == [os.path.join(tmp_path, "exploits", "2.txt")]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# Exploit Title: x\n# Version: 1.2\nversion 1.2 is affected\n",
+            "# Exploit Title: x\n# Tested on: Linux\n",
+            "Tested on ver\u017fion 4.2\n",
+            "",
+        ],
+    )
+    def test_record_read_at_first_use_equals_one_built_from_its_head(self, tmp_path, text):
+        title = "WordPress Plugin Sample 1.0 - SQL Injection"
+        loaded = load_one(
+            tmp_path, text, description=title, author="test-author", date="2017-06-01"
+        ).records[1]
+        kept = text if not text.isascii() or "version" in text.lower() else ""
+        built = make_record(edb_id=1, title=title, poc_text=kept, header=parse_poc_header(text))
+        assert repr(loaded) == repr(built)
+        assert loaded == built and built == loaded
+        assert [loaded.poc_text, loaded.poc_header] == [kept, parse_poc_header(text)]
+
+    @pytest.mark.parametrize("change", ["deleted", "directory"])
+    def test_poc_gone_after_load_reads_as_empty_and_logs(self, tmp_path, caplog, change):
+        corpus = load_one(tmp_path, "# Version: 1.0\n")
+        poc = tmp_path / "exploits" / "1.txt"
+        poc.unlink()
+        if change == "directory":
+            poc.mkdir()
+        with caplog.at_level("WARNING", logger="vulnwp.corpus"):
+            record = corpus.records[1]
+            assert record.poc_header == {}
+            assert record.poc_text == ""
+        assert corpus.warnings == []
+        (message,) = [r.getMessage() for r in caplog.records]
+        assert message == f"PoC file {poc} for exploit 1 is gone or not a regular file, read as empty"
+
+    def test_unreadable_poc_raises_at_first_use(self, tmp_path, monkeypatch):
+        corpus = load_one(tmp_path, "# Version: 1.0\n")
+        refuse_reading(monkeypatch, os.path.join(tmp_path, "exploits", "1.txt"))
+        record = corpus.records[1]
+        for _ in range(2):
+            with pytest.raises(PermissionError):
+                record.poc_header
+        monkeypatch.undo()
+        assert record.poc_header == {"version": "1.0"}
+
+    @pytest.mark.parametrize("kind", ["dangling", "loop"])
+    def test_poc_link_that_leads_nowhere_warns_at_load(self, tmp_path, poc_reads, kind):
+        link = tmp_path / "exploits" / "1.txt"
+        link.parent.mkdir()
+        link.symlink_to(tmp_path / "gone.txt" if kind == "dangling" else link)
+        corpus = load_one(tmp_path)
+        assert corpus.warnings == ["1: PoC file exploits/1.txt missing, record loaded without text"]
+        assert (corpus.records[1].poc_text, corpus.records[1].poc_header) == ("", {})
+        assert poc_reads == []
+
+    def test_threads_reaching_unread_records_at_once_see_the_same_values(self, tmp_path):
+        texts = {edb_id: f"# Version: {edb_id}.0\nversion {edb_id}.0 is affected\n"
+                 for edb_id in range(1, 41)}
+        for edb_id, text in texts.items():
+            write_poc(tmp_path, edb_id, text)
+        index = write_index(tmp_path / "files_exploits.csv", [row(i) for i in texts])
+        corpus = load_corpus(index, tmp_path)
+        seen: list[tuple[int, str, dict]] = []
+        lock = threading.Lock()
+
+        def read_all(text_first: bool):
+            for record in corpus:
+                if text_first:
+                    value = (record.edb_id, record.poc_text, record.poc_header)
+                else:
+                    header = record.poc_header
+                    value = (record.edb_id, record.poc_text, header)
+                with lock:
+                    seen.append(value)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=read_all, args=(n % 2 == 0,)) for n in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(seen) == 8 * len(texts)
+        for edb_id, poc_text, header in seen:
+            assert poc_text == texts[edb_id]
+            assert header == {"version": f"{edb_id}.0"}
+
+    def test_unknown_attribute_is_an_attribute_error(self, tmp_path, poc_reads):
+        record = load_one(tmp_path, "# Version: 1.0\n").records[1]
+        with pytest.raises(AttributeError, match="'ExploitRecord' object has no attribute 'poc'"):
+            record.poc
+        assert not hasattr(record, "_poc_header")
+        assert poc_reads == []
