@@ -10,20 +10,19 @@ component payloads under components/<slug>:
 
 A bundle is built in a staging directory beside it, <out>/.<name>.partial,
 and renamed into place whole, replacing any earlier bundle of the same
-name; a failed emission leaves the earlier bundle as it was. Payloads
-fetched straight into the staging directory (see staging_dir) are not
-copied again. The four rendered files are written with plain descriptor
-writes (os.open, then os.write until every byte is out), and setup.sh
-gets its executable mode on its open descriptor; they are hashed from
-memory and only the payload files are read back. provenance.json is
-laid out from a fixed template whose leaves go through the C string
-encoder; the bytes are those of json.dumps(payload, indent=2,
-sort_keys=True) plus a newline.
+name; a failed emission leaves the earlier bundle as it was. stage_bundle
+clears the staging directory and names where each payload is fetched,
+<staging>/components/<slug>; emit_bundle adds the rendered files there
+and hashes the payloads in place, so no payload is copied. The four
+rendered files are written with plain descriptor writes (os.open, then
+os.write until every byte is out), and setup.sh gets its executable mode
+on its open descriptor; they are hashed from memory and only the payload
+files are read back. provenance.json is laid out from a fixed template
+whose leaves go through the C string encoder; the bytes are those of
+json.dumps(payload, indent=2, sort_keys=True) plus a newline.
 
-The returned BundleManifest keeps the {relative path: sha256} map as
-emission built it and the bundle directory as given. Its files sorted by
-path parts, and the directory as a Path, are built only when first read,
-so an outcome row that only carries the map to disk costs no sort.
+The returned BundleManifest is the bundle directory and the {relative
+path: sha256} map emission built.
 
 Emission is byte deterministic: the same plan and the same injected
 timestamp always produce identical files.
@@ -53,10 +52,10 @@ __all__ = [
     "SetupStep",
     "EnvironmentPlan",
     "BundleManifest",
-    "FileDigest",
     "build_plan",
+    "stage_bundle",
+    "discard_staging",
     "emit_bundle",
-    "staging_dir",
     "render_step_argv",
     "render_step_line",
     "app_image_name",
@@ -109,7 +108,7 @@ class EnvironmentPlan:
     database: DatabaseSpec
     site: SiteSpec
     setup_steps: tuple[SetupStep, ...]
-    docroot: str = "/var/www/html"
+    docroot: str
     unused_app_archive: str | None = None
 
     def __post_init__(self) -> None:
@@ -154,54 +153,26 @@ class FileDigest:
 
 
 class BundleManifest:
-    """Relative paths and content digests of everything emitted.
+    """A bundle directory and the {relative path: sha256} map of every file in it.
 
-    A manifest holds the {relative path: sha256} map it was made from and
-    the bundle directory as it was given (a Path or a string). The sorted
-    FileDigest tuple behind .files and the Path behind .bundle_dir are
-    built on first read and kept, so a manifest that is only written out
-    again, or not looked at, costs no sorting and no Path. Equality,
-    hashing and repr go by (bundle_dir, files), as for a frozen dataclass
-    of those two fields.
+    Both are kept as they were handed over: the directory as a Path or a
+    string, the map itself rather than a copy, so the caller must not
+    change it afterwards. Equality and hashing go by the directory's
+    string and the map. .files is the map as FileDigests sorted by path
+    parts, so "a/y" comes before "a-b/x"; it is built on each read.
     """
 
-    __slots__ = ("_dir", "_digests", "_files")
+    __slots__ = ("bundle_dir", "_digests")
 
-    def __init__(self, bundle_dir: Path | str, files: tuple[FileDigest, ...]) -> None:
-        """A manifest listing files in the order given; see from_digests."""
-        self._dir = bundle_dir
-        self._files = tuple(files)
-        self._digests = {f.path: f.sha256 for f in self._files}
-
-    @classmethod
-    def from_digests(cls, bundle_dir: Path | str, digests: dict[str, str]) -> "BundleManifest":
-        """The manifest of digests ({relative path: sha256}), its files
-        sorted by path parts, so "a/y" comes before "a-b/x".
-
-        The manifest keeps digests itself rather than a copy; the caller
-        hands it over and must not change it afterwards.
-        """
-        manifest = cls.__new__(cls)
-        manifest._dir = bundle_dir
-        manifest._digests = digests
-        manifest._files = None
-        return manifest
-
-    @property
-    def bundle_dir(self) -> Path:
-        bundle_dir = self._dir
-        if not isinstance(bundle_dir, Path):
-            bundle_dir = self._dir = Path(bundle_dir)
-        return bundle_dir
+    def __init__(self, bundle_dir: Path | str, digests: dict[str, str]) -> None:
+        self.bundle_dir = bundle_dir
+        self._digests = digests
 
     @property
     def files(self) -> tuple[FileDigest, ...]:
-        files = self._files
-        if files is None:
-            digests = self._digests
-            ordered = sorted(digests, key=lambda path: path.split("/"))
-            files = self._files = tuple(FileDigest(path, digests[path]) for path in ordered)
-        return files
+        digests = self._digests
+        ordered = sorted(digests, key=lambda path: path.split("/"))
+        return tuple(FileDigest(path, digests[path]) for path in ordered)
 
     def digest_map(self) -> dict[str, str]:
         """A copy of the {relative path: sha256} map."""
@@ -210,13 +181,14 @@ class BundleManifest:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.bundle_dir, self.files) == (other.bundle_dir, other.files)
+        return (os.fspath(self.bundle_dir) == os.fspath(other.bundle_dir)
+                and self._digests == other._digests)
 
     def __hash__(self) -> int:
-        return hash((self.bundle_dir, self.files))
+        return hash((os.fspath(self.bundle_dir), frozenset(self._digests.items())))
 
     def __repr__(self) -> str:
-        return f"BundleManifest(bundle_dir={self.bundle_dir!r}, files={self.files!r})"
+        return f"BundleManifest({self.bundle_dir!r}, {self._digests!r})"
 
 
 def app_image_name(edb_id: int) -> str:
@@ -393,13 +365,43 @@ def _render_provenance(plan: EnvironmentPlan, generated_at: datetime) -> str:
 
 
 def staging_dir(bundle_dir: Path | str) -> Path:
-    """The directory a bundle is built in before it is renamed into place.
-
-    A component fetched into <staging_dir>/components/<slug> becomes part
-    of the bundle without another copy.
-    """
-    bundle_dir = Path(bundle_dir)
+    """The directory a bundle is built in before it is renamed into place."""
+    bundle_dir = _as_path(bundle_dir)
     return bundle_dir.with_name(f".{bundle_dir.name}.partial")
+
+
+def _as_path(path: Path | str) -> Path:
+    """path as a Path; Path(a_path) would parse every part of it again."""
+    return path if isinstance(path, Path) else Path(path)
+
+
+def stage_bundle(bundle_dir: Path | str, slugs: tuple[str, ...] = ()) -> list[Path]:
+    """Clear bundle_dir's staging directory and return, for each slug, the
+    directory its payload is fetched into, <staging>/components/<slug>.
+
+    The first fetch makes the staging directory, so a record whose sources
+    all miss makes none; with no slugs it is made here, empty. Raises
+    OSError when it cannot be cleared or made.
+    """
+    staging = staging_dir(bundle_dir)
+    if slugs:
+        try:
+            shutil.rmtree(staging)
+        except FileNotFoundError:
+            pass
+        staging.parent.mkdir(parents=True, exist_ok=True)
+    else:
+        try:
+            staging.mkdir(parents=True)
+        except FileExistsError:
+            shutil.rmtree(staging)
+            staging.mkdir()
+    return [staging / "components" / slug for slug in slugs]
+
+
+def discard_staging(bundle_dir: Path | str) -> None:
+    """Remove bundle_dir's staging directory and everything in it, if it exists."""
+    shutil.rmtree(staging_dir(bundle_dir), ignore_errors=True)
 
 
 def emit_bundle(
@@ -408,19 +410,22 @@ def emit_bundle(
     *,
     generated_at: datetime,
 ) -> BundleManifest:
-    """Write the bundle for a plan and return the manifest.
+    """Write the bundle for a plan into its staging directory, which
+    stage_bundle prepared and the plan's payloads were fetched into,
+    rename it into place and return the manifest.
 
     generated_at lands in provenance.json; the same value makes two
     emissions byte identical. The bundle appears whole or not at all and
     holds exactly what the plan names. Rendered files are written with
     plain descriptor writes; setup.sh is made 0o755 on its descriptor, the
-    others get 0o666 less the umask. Raises BundleWriteError when any file
-    cannot be written; the staging directory is then removed and an
-    earlier bundle stays in place.
+    others get 0o666 less the umask. Raises BundleWriteError when the
+    staged components are not the plan's or any file cannot be written;
+    the staging directory is then removed and an earlier bundle stays in
+    place.
     """
-    bundle_dir = Path(bundle_dir)
+    bundle_dir = _as_path(bundle_dir)
     staging = staging_dir(bundle_dir)
-    components_dir = staging / "components"
+    planned = sorted(c.slug for c in plan.components)
 
     rendered = {
         "Dockerfile": _render_dockerfile(plan),
@@ -430,24 +435,27 @@ def emit_bundle(
     }
     digests = {}
     try:
-        staged = {c.slug for c in plan.components if c.payload_path == components_dir / c.slug}
-        if not staged:
-            _make_empty_dir(staging)
+        components = staging / "components"
+        staged = sorted(os.listdir(components)) if components.is_dir() else []
+        if staged != planned:
+            raise BundleWriteError(
+                f"bundle {bundle_dir} has components {staged} staged, but its plan names {planned}"
+            )
         for name, text in rendered.items():
             data = text.encode("utf-8")
             _write_file(os.path.join(staging, name), data, executable=name == "setup.sh")
             digests[name] = hashlib.sha256(data).hexdigest()
-        for component in plan.components:
-            if component.slug not in staged:
-                shutil.copytree(component.payload_path, components_dir / component.slug)
-        if plan.components:
+        if planned:
             digests.update(_hash_payloads(staging))
         _swap_into_place(staging, bundle_dir)
+    except BundleWriteError:
+        discard_staging(bundle_dir)
+        raise
     except OSError as exc:
-        shutil.rmtree(staging, ignore_errors=True)
+        discard_staging(bundle_dir)
         raise BundleWriteError(f"emitting bundle into {bundle_dir} failed: {exc}") from exc
 
-    return BundleManifest.from_digests(bundle_dir, digests)
+    return BundleManifest(bundle_dir, digests)
 
 
 def _write_file(path: str, data: bytes, *, executable: bool) -> None:
@@ -461,15 +469,6 @@ def _write_file(path: str, data: bytes, *, executable: bool) -> None:
             os.fchmod(fd, 0o755)
     finally:
         os.close(fd)
-
-
-def _make_empty_dir(path: Path) -> None:
-    """Create path, first removing whatever a crashed run left there."""
-    try:
-        path.mkdir(parents=True)
-    except FileExistsError:
-        shutil.rmtree(path)
-        path.mkdir()
 
 
 def _hash_payloads(staging: Path) -> dict[str, str]:

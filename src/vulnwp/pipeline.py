@@ -16,7 +16,6 @@ error-during-setup.
 from __future__ import annotations
 
 import logging
-import shutil
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -35,7 +34,14 @@ from .errors import (
     SetupStepFailedError,
     UnknownCveError,
 )
-from .iac import BundleManifest, EnvironmentPlan, build_plan, emit_bundle, staging_dir
+from .iac import (
+    BundleManifest,
+    EnvironmentPlan,
+    build_plan,
+    discard_staging,
+    emit_bundle,
+    stage_bundle,
+)
 from .resolvers import (
     ComponentKind,
     SourceClients,
@@ -143,10 +149,9 @@ class GenerationOutcome:
         """Rebuild an outcome row persisted by to_json_dict.
 
         The full plan object does not round-trip; everything reporting
-        needs (status, reason, sources, digests) does. The manifest keeps
-        the row's directory string and its digest map itself, not a copy,
-        and sorts its files, in the order emit_bundle lists them, only when
-        they are first read (see BundleManifest). Raises KeyError for a
+        needs (status, reason, sources, digests) does. The manifest is the
+        row's directory string and its digest map itself, not a copy; no
+        Path is built and nothing is sorted. Raises KeyError for a
         missing key, TypeError naming the field for a value of the wrong
         type, and ValueError for an unknown status or reason or a failure
         without a reason.
@@ -186,7 +191,7 @@ class GenerationOutcome:
                 raise _wrong_type("bundle files", "an object", files)
             if not set(map(type, files)) | set(map(type, files.values())) <= _STR_TYPE:
                 raise TypeError("bundle files must map strings to strings")
-            manifest = BundleManifest.from_digests(bundle_dir, files)
+            manifest = BundleManifest(bundle_dir, files)
         # Dict lookups stand in for the enum calls, which still run (and
         # raise) for a value no member has.
         return cls(
@@ -300,8 +305,8 @@ def generate(
     """Run the full per-record flow and encode the result as an outcome.
 
     All expected failures land in the outcome's reason; the call itself
-    does not raise for them. Until the bundle is renamed into place,
-    nothing is written outside its staging directory, <out>/.<edb_id>.partial,
+    does not raise for them. Until the bundle is renamed into place, nothing
+    is written outside the staging directory iac.stage_bundle prepares,
     which a failed fetch or emission removes again.
     """
     start = services.clock.monotonic()
@@ -335,7 +340,7 @@ def generate(
             image = find_core_image(constraint, services.registry)
         except NoImageError:
             return failure(FailureReason.NO_IMAGE, unused_archive=archive_name)
-        components = []
+        slugs: tuple[str, ...] = ()
         unused_archive = archive_name
     else:
         if constraint is None and not has_archive:
@@ -345,35 +350,33 @@ def generate(
         except NoImageError:
             return failure(FailureReason.NO_IMAGE)
         try:
-            slug = derive_slug(parsed.product or "")
+            slugs = (derive_slug(parsed.product or ""),)
         except EmptySlugError:
             return failure(FailureReason.NO_VULNERABLE_APPLICATION)
-        staging = staging_dir(bundle_dir)
-        # A leftover from a crashed run must not merge into the payload.
-        shutil.rmtree(staging, ignore_errors=True)
+        unused_archive = None
+
+    try:
+        dests = stage_bundle(bundle_dir, slugs)
+    except OSError as exc:
+        logger.error("staging directory for exploit %s unusable: %s", record.edb_id, exc)
+        return failure(FailureReason.ERROR_DURING_SETUP, unused_archive=unused_archive)
+    components = []
+    for slug, dest in zip(slugs, dests):
         try:
-            services.out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            logger.error("output directory for exploit %s unusable: %s", record.edb_id, exc)
-            return failure(FailureReason.ERROR_DURING_SETUP)
-        try:
-            component = fetch_component(
+            components.append(fetch_component(
                 kind=_CATEGORY_TO_KIND[parsed.category],
                 slug=slug,
                 version=concrete_version(constraint),
                 record=record,
                 sources=services.sources,
-                dest=staging / "components" / slug,
-            )
-        except NoVulnerableApplicationError:
-            shutil.rmtree(staging, ignore_errors=True)
-            return failure(FailureReason.NO_VULNERABLE_APPLICATION)
-        except FetchError as exc:
-            shutil.rmtree(staging, ignore_errors=True)
+                dest=dest,
+            ))
+        except (NoVulnerableApplicationError, FetchError) as exc:
+            discard_staging(bundle_dir)
+            if isinstance(exc, NoVulnerableApplicationError):
+                return failure(FailureReason.NO_VULNERABLE_APPLICATION)
             logger.warning("fetch for exploit %s broke: %s", record.edb_id, exc)
             return failure(FailureReason.FETCH_FAILURE)
-        components = [component]
-        unused_archive = None
 
     plan = build_plan(
         parsed,

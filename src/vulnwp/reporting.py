@@ -227,7 +227,8 @@ def read_outcomes(path: Path | str) -> list[GenerationOutcome]:
     UTF-8 or not one JSON value, a value that is not an object, a missing
     key, a field of the wrong type (named in the message), an unknown
     status or reason, or a failure without a reason. Each row's manifest
-    keeps the row's digest map; its sorted files are built only if read.
+    is the row's directory string and digest map, with no Path built and
+    nothing sorted.
     """
     path = Path(path)
     decode = _ROW_DECODER.decode

@@ -101,19 +101,12 @@ class ComponentSource:
 
 @dataclass(frozen=True)
 class FetchedComponent:
-    """A materialized extension payload ready to copy into a bundle.
-
-    payload_path is where the payload was fetched to. When that is the
-    bundle's staging directory, it no longer exists once the bundle has
-    been renamed into place; the payload then lives under the bundle's
-    components/<slug>.
-    """
+    """A fetched extension payload and its source; fetch_component's dest holds it."""
 
     kind: ComponentKind
     slug: str
     version: Version | None
     source: ComponentSource
-    payload_path: Path
 
 
 class TagIndex(ABC):
@@ -435,27 +428,28 @@ def fetch_component(
 
     Order: SVN tree (tags/<version>/ when a version is known, trunk/
     otherwise), then the PoC header's software link when it points
-    directly at a .zip, then the archive attached to the record. The
-    first source that produces a payload wins and creates dest; when all
-    miss, nothing is written and NoVulnerableApplicationError is raised.
+    directly at a .zip, then the archive attached to the record. The PoC
+    is read only when a link client is configured. The first source that
+    produces a payload wins and creates dest; when all miss, nothing is
+    written and NoVulnerableApplicationError is raised.
     """
     if sources.svn is not None:
         locator = sources.svn.export(kind, slug, version, dest)
         if locator is not None:
             logger.info("%s %s fetched from SVN tree %s", kind.value, slug, locator)
-            return FetchedComponent(kind, slug, version, ComponentSource(SourceKind.SVN_REPO, locator), dest)
+            return FetchedComponent(kind, slug, version, ComponentSource(SourceKind.SVN_REPO, locator))
 
-    link = record.poc_header.get("software-link", "").strip()
-    if sources.link is not None and link.lower().endswith(".zip"):
-        if sources.link.fetch(link, dest):
+    if sources.link is not None:
+        link = record.poc_header.get("software-link", "").strip()
+        if link.lower().endswith(".zip") and sources.link.fetch(link, dest):
             logger.info("%s %s fetched from software link %s", kind.value, slug, link)
-            return FetchedComponent(kind, slug, version, ComponentSource(SourceKind.SOFTWARE_LINK, link), dest)
+            return FetchedComponent(kind, slug, version, ComponentSource(SourceKind.SOFTWARE_LINK, link))
 
     if record.app_archive is not None and record.app_archive.is_file():
         extract_archive(record.app_archive, dest)
         locator = str(record.app_archive)
         logger.info("%s %s unpacked from attached archive %s", kind.value, slug, locator)
-        return FetchedComponent(kind, slug, version, ComponentSource(SourceKind.EXPLOITDB_APP, locator), dest)
+        return FetchedComponent(kind, slug, version, ComponentSource(SourceKind.EXPLOITDB_APP, locator))
 
     raise NoVulnerableApplicationError(
         f"no source provided {kind.value} {slug}"

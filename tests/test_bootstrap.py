@@ -152,7 +152,7 @@ class RecordingExecutor:
 
 class TestRunSetup:
     def test_all_steps_run_in_order(self, tmp_path):
-        plan = plugin_plan(tmp_path)
+        plan = plugin_plan()
         executor = RecordingExecutor()
         report = run_setup(plan, executor, tmp_path)
         assert report.succeeded
@@ -161,7 +161,7 @@ class TestRunSetup:
         assert executor.calls[0][0][6:8] == ("wp", "--allow-root")
 
     def test_failure_stops_the_run_and_carries_a_partial_report(self, tmp_path):
-        plan = plugin_plan(tmp_path)
+        plan = plugin_plan()
         executor = RecordingExecutor(fail_on="test")
         with pytest.raises(SetupStepFailedError) as excinfo:
             run_setup(plan, executor, tmp_path)
@@ -190,7 +190,7 @@ class TestBringUp:
         clock = SimulatedClock()
         self.executor = RecordingExecutor(fail_on=fail_on)
         self.client = OrderedClient(clock, self.executor, ready_at)
-        self.plan = plugin_plan(tmp_path)
+        self.plan = plugin_plan()
         return bring_up(self.plan, tmp_path, self.executor, self.client, clock, GeneratorConfig())
 
     def test_builds_starts_probes_then_configures(self, tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -313,11 +314,22 @@ class TestPocsReadAtFirstUse:
         main(base_args(e2e_tree, tmp_path / "out") + ["generate", "--edb-id", str(edb_id)])
         assert read_ids(poc_reads) in ([], [edb_id])
 
-    @pytest.mark.parametrize("tree", ["demo", "e2e"])
+    @pytest.mark.parametrize("tree", ["demo", "e2e", "e2e-without-links"])
     def test_batch_reads_only_versionless_or_svn_missed_pocs(
         self, e2e_tree, tmp_path, capsys, monkeypatch, poc_reads, tree
     ):
-        tree = DEMO if tree == "demo" else e2e_tree
+        links = tree != "e2e-without-links"
+        if tree == "demo":
+            tree = DEMO
+        elif links:
+            tree = e2e_tree
+        else:
+            # With no link client, no software link is followed, so an SVN
+            # miss reads no PoC.
+            fixtures = tmp_path / "fixtures"
+            shutil.copytree(e2e_tree.fixtures_dir, fixtures)
+            (fixtures / "links.json").unlink()
+            tree = E2ETree(corpus_dir=e2e_tree.corpus_dir, fixtures_dir=fixtures)
         current: list[int] = []
         svn_missed: set[int] = set()
         generate, export = vulnwp.reporting.generate, DiskSvnMirror.export
@@ -343,9 +355,10 @@ class TestPocsReadAtFirstUse:
                 versionless.add(record.edb_id)
         reads = read_ids(poc_reads)
         assert len(reads) == len(set(reads))
-        assert set(reads) == versionless | svn_missed
-        if tree is e2e_tree:
+        assert set(reads) == (versionless | svn_missed if links else versionless)
+        if tree is not DEMO:
             assert 0 < len(reads) < len(corpus)
+            assert svn_missed - versionless
 
     @pytest.mark.parametrize("command", [["generate", "--edb-id", "110"], ["batch"]])
     def test_unreadable_poc_is_a_usage_error(

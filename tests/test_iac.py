@@ -32,6 +32,7 @@ from vulnwp.iac import (
     provenance_schema,
     render_step_argv,
     render_step_line,
+    stage_bundle,
     staging_dir,
     validate_compose_subset,
 )
@@ -50,17 +51,28 @@ IMAGE = ImageRef(repository="wordpress", tag="5.0", resolved_version=Version.par
 STAMP = datetime(2021, 5, 1, tzinfo=timezone.utc)
 
 
-def make_component(tmp_path: Path, slug: str, kind=ComponentKind.PLUGIN) -> FetchedComponent:
-    payload = tmp_path / "payloads" / slug
-    payload.mkdir(parents=True, exist_ok=True)
-    (payload / f"{slug}.php").write_text(f"<?php // {slug}\n", encoding="utf-8")
+def make_component(slug: str, kind=ComponentKind.PLUGIN) -> FetchedComponent:
     return FetchedComponent(
         kind=kind,
         slug=slug,
         version=Version.parse("1.0"),
         source=ComponentSource(SourceKind.SVN_REPO, f"svn/{slug}/tags/1.0"),
-        payload_path=payload,
     )
+
+
+def stage(plan: EnvironmentPlan, bundle_dir: Path) -> None:
+    """Make bundle_dir's staging dir and fetch each component's payload
+    into it, as generate does: one <slug>.php per component."""
+    slugs = tuple(c.slug for c in plan.components)
+    for slug, dest in zip(slugs, stage_bundle(bundle_dir, slugs)):
+        dest.mkdir(parents=True)
+        (dest / f"{slug}.php").write_text(f"<?php // {slug}\n", encoding="utf-8")
+
+
+def emit(plan: EnvironmentPlan, bundle_dir: Path, generated_at: datetime = STAMP) -> BundleManifest:
+    """Stage the plan's payloads, then emit its bundle."""
+    stage(plan, bundle_dir)
+    return emit_bundle(plan, bundle_dir, generated_at=generated_at)
 
 
 def files_on_disk(root: Path) -> set[str]:
@@ -72,9 +84,9 @@ def core_plan(edb_id: int = 500) -> EnvironmentPlan:
     return build_plan(parse_title(title), IMAGE, [], CONFIG, edb_id=edb_id, title=title)
 
 
-def plugin_plan(tmp_path: Path, edb_id: int = 501) -> EnvironmentPlan:
+def plugin_plan(edb_id: int = 501) -> EnvironmentPlan:
     title = "WordPress Plugin Sample 1.0 - SQL Injection"
-    component = make_component(tmp_path, "sample")
+    component = make_component("sample")
     return build_plan(parse_title(title), IMAGE, [component], CONFIG, edb_id=edb_id, title=title)
 
 
@@ -88,7 +100,7 @@ class TestBuildPlan:
         ]
 
     def test_plugin_plan_copies_then_activates(self, tmp_path):
-        plan = plugin_plan(tmp_path)
+        plan = plugin_plan()
         assert [s.kind for s in plan.setup_steps] == [
             StepKind.INSTALL_CORE,
             StepKind.CREATE_ADMIN,
@@ -99,13 +111,13 @@ class TestBuildPlan:
 
     def test_theme_plan_uses_theme_activation(self, tmp_path):
         title = "WordPress Theme Clean Portfolio 1.4 - Arbitrary File Upload"
-        component = make_component(tmp_path, "clean-portfolio", kind=ComponentKind.THEME)
+        component = make_component("clean-portfolio", kind=ComponentKind.THEME)
         plan = build_plan(parse_title(title), IMAGE, [component], CONFIG, edb_id=502, title=title)
         assert plan.setup_steps[-1].kind is StepKind.ACTIVATE_THEME
         assert plan.component_target(component).endswith("wp-content/themes/clean-portfolio")
 
     def test_component_target_for_plugins(self, tmp_path):
-        plan = plugin_plan(tmp_path)
+        plan = plugin_plan()
         assert plan.component_target(plan.components[0]) == (
             "/var/www/html/wp-content/plugins/sample"
         )
@@ -113,7 +125,7 @@ class TestBuildPlan:
 
 class TestPlanInvariants:
     def test_duplicate_slugs_rejected(self, tmp_path):
-        component = make_component(tmp_path, "twin")
+        component = make_component("twin")
         with pytest.raises(ValueError, match="unique"):
             build_plan(
                 parse_title("WordPress Plugin Twin 1.0 - XSS"),
@@ -133,7 +145,7 @@ class TestPlanInvariants:
             SetupStep(StepKind.INSTALL_CORE, slug="sample")
 
     def _plan_with_steps(self, tmp_path, steps) -> EnvironmentPlan:
-        component = make_component(tmp_path, "sample")
+        component = make_component("sample")
         return EnvironmentPlan(
             edb_id=504,
             title="WordPress Plugin Sample 1.0 - SQL Injection",
@@ -142,6 +154,7 @@ class TestPlanInvariants:
             database=CONFIG.database,
             site=CONFIG.site,
             setup_steps=tuple(steps),
+            docroot=CONFIG.docroot,
         )
 
     def test_admin_before_install_rejected(self, tmp_path):
@@ -195,12 +208,12 @@ class TestStepRendering:
         assert plan.site.admin_user != plan.site.owner_user
 
     def test_copy_step_renders_existence_check(self, tmp_path):
-        plan = plugin_plan(tmp_path)
+        plan = plugin_plan()
         argv = render_step_argv(plan.setup_steps[2], plan)
         assert argv == ["test", "-e", "/var/www/html/wp-content/plugins/sample"]
 
     def test_activation_argv(self, tmp_path):
-        plan = plugin_plan(tmp_path)
+        plan = plugin_plan()
         argv = render_step_argv(plan.setup_steps[3], plan)
         assert argv[-3:] == ["plugin", "activate", "sample"]
 
@@ -213,8 +226,8 @@ class TestStepRendering:
 
 class TestEmitBundle:
     def test_emits_exactly_the_declared_files(self, tmp_path):
-        plan = plugin_plan(tmp_path)
-        manifest = emit_bundle(plan, tmp_path / "bundle", generated_at=STAMP)
+        plan = plugin_plan()
+        manifest = emit(plan, tmp_path / "bundle")
         for name in BUNDLE_FILES:
             assert (tmp_path / "bundle" / name).is_file()
         assert (tmp_path / "bundle" / "components" / "sample" / "sample.php").is_file()
@@ -223,27 +236,27 @@ class TestEmitBundle:
         assert "components/sample/sample.php" in listed
 
     def test_setup_script_is_executable(self, tmp_path):
-        plan = plugin_plan(tmp_path)
-        emit_bundle(plan, tmp_path / "bundle", generated_at=STAMP)
+        plan = plugin_plan()
+        emit(plan, tmp_path / "bundle")
         mode = (tmp_path / "bundle" / "setup.sh").stat().st_mode
         assert mode & 0o111 == 0o111
 
     def test_dockerfile_copies_each_component(self, tmp_path):
-        plan = plugin_plan(tmp_path)
-        emit_bundle(plan, tmp_path / "bundle", generated_at=STAMP)
+        plan = plugin_plan()
+        emit(plan, tmp_path / "bundle")
         dockerfile = (tmp_path / "bundle" / "Dockerfile").read_text(encoding="utf-8")
         lines = dockerfile.strip().splitlines()
         assert lines[0] == "FROM wordpress:5.0"
         assert "COPY components/sample /var/www/html/wp-content/plugins/sample" in lines
 
     def test_core_bundle_has_no_copy_lines(self, tmp_path):
-        emit_bundle(core_plan(), tmp_path / "bundle", generated_at=STAMP)
+        emit(core_plan(), tmp_path / "bundle")
         dockerfile = (tmp_path / "bundle" / "Dockerfile").read_text(encoding="utf-8")
         assert "COPY" not in dockerfile
 
     def test_compose_matches_plan_settings(self, tmp_path):
-        plan = plugin_plan(tmp_path)
-        emit_bundle(plan, tmp_path / "bundle", generated_at=STAMP)
+        plan = plugin_plan()
+        emit(plan, tmp_path / "bundle")
         parsed = yaml.safe_load((tmp_path / "bundle" / "docker-compose.yml").read_text())
         services = parsed["services"]
         assert set(services) == {"app", "db"}
@@ -254,8 +267,8 @@ class TestEmitBundle:
         assert services["db"]["environment"]["MYSQL_DATABASE"] == plan.database.name
 
     def test_setup_script_lines_follow_plan_steps(self, tmp_path):
-        plan = plugin_plan(tmp_path)
-        emit_bundle(plan, tmp_path / "bundle", generated_at=STAMP)
+        plan = plugin_plan()
+        emit(plan, tmp_path / "bundle")
         body = (tmp_path / "bundle" / "setup.sh").read_text(encoding="utf-8")
         lines = [l for l in body.splitlines() if l and not l.startswith("#") and l != "set -e"]
         assert len(lines) == len(plan.setup_steps)
@@ -263,8 +276,8 @@ class TestEmitBundle:
         assert lines[-1].endswith("plugin activate sample")
 
     def test_provenance_validates_and_round_trips(self, tmp_path):
-        plan = plugin_plan(tmp_path)
-        emit_bundle(plan, tmp_path / "bundle", generated_at=STAMP)
+        plan = plugin_plan()
+        emit(plan, tmp_path / "bundle")
         payload = json.loads((tmp_path / "bundle" / "provenance.json").read_text())
         jsonschema.validate(payload, provenance_schema())
         assert payload["edb_id"] == plan.edb_id
@@ -273,17 +286,15 @@ class TestEmitBundle:
         assert payload["generated_at"] == "2021-05-01T00:00:00+00:00"
 
     def test_emission_is_byte_deterministic(self, tmp_path):
-        plan = plugin_plan(tmp_path)
-        first = emit_bundle(plan, tmp_path / "one", generated_at=STAMP)
-        second = emit_bundle(plan, tmp_path / "two", generated_at=STAMP)
+        plan = plugin_plan()
+        first = emit(plan, tmp_path / "one")
+        second = emit(plan, tmp_path / "two")
         assert first.digest_map() == second.digest_map()
 
     def test_timestamp_only_changes_provenance(self, tmp_path):
-        plan = plugin_plan(tmp_path)
-        first = emit_bundle(plan, tmp_path / "one", generated_at=STAMP)
-        later = emit_bundle(
-            plan, tmp_path / "two", generated_at=datetime(2022, 1, 1, tzinfo=timezone.utc)
-        )
+        plan = plugin_plan()
+        first = emit(plan, tmp_path / "one")
+        later = emit(plan, tmp_path / "two", generated_at=datetime(2022, 1, 1, tzinfo=timezone.utc))
         differing = {
             path
             for path in first.digest_map()
@@ -294,6 +305,8 @@ class TestEmitBundle:
     def test_unwritable_target_raises(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory", encoding="utf-8")
+        with pytest.raises(OSError):
+            stage_bundle(blocker / "bundle")
         with pytest.raises(BundleWriteError):
             emit_bundle(core_plan(), blocker / "bundle", generated_at=STAMP)
 
@@ -304,25 +317,24 @@ class TestExactAtomicEmission:
         (bundle / "components" / "old").mkdir(parents=True)
         (bundle / "components" / "old" / "x.php").write_text("<?php // old\n", encoding="utf-8")
         (bundle / "stale.txt").write_text("left over", encoding="utf-8")
-        manifest = emit_bundle(plugin_plan(tmp_path), bundle, generated_at=STAMP)
+        manifest = emit(plugin_plan(), bundle)
         assert not (bundle / "stale.txt").exists()
         assert not (bundle / "components" / "old").exists()
         assert "stale.txt" not in manifest.digest_map()
         assert "components/old/x.php" not in manifest.digest_map()
         assert files_on_disk(bundle) == set(manifest.digest_map())
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle", "payloads"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle"]
 
     def test_manifest_matches_the_files_on_disk(self, tmp_path):
-        payload = tmp_path / "payloads" / "nested"
+        bundle = tmp_path / "bundle"
+        [payload] = stage_bundle(bundle, ("nested",))
         (payload / "inc" / "deep").mkdir(parents=True)
         (payload / "nested.php").write_bytes(b"<?php // top\n")
         (payload / "inc" / "a.php").write_bytes(b"<?php // a\n")
         (payload / "inc-extra.php").write_bytes(b"<?php // sorts after inc/ by path parts\n")
         (payload / "inc" / "deep" / "b.js").write_bytes(bytes(range(256)))
-        component = replace(make_component(tmp_path, "nested"), payload_path=payload)
         title = "WordPress Plugin Nested 1.0 - XSS"
-        plan = build_plan(parse_title(title), IMAGE, [component], CONFIG, edb_id=7, title=title)
-        bundle = tmp_path / "bundle"
+        plan = build_plan(parse_title(title), IMAGE, [make_component("nested")], CONFIG, edb_id=7, title=title)
         manifest = emit_bundle(plan, bundle, generated_at=STAMP)
         assert files_on_disk(bundle) == set(manifest.digest_map())
         for entry in manifest.files:
@@ -331,38 +343,47 @@ class TestExactAtomicEmission:
             (f.path for f in manifest.files), key=lambda path: Path(path).parts
         )
 
-    def test_failed_emission_keeps_the_earlier_bundle(self, tmp_path):
+    @pytest.mark.parametrize("staged", [(), ("sample", "stranger")], ids=["unstaged", "unplanned"])
+    def test_failed_emission_keeps_the_earlier_bundle(self, tmp_path, staged):
         bundle = tmp_path / "bundle"
-        earlier = emit_bundle(plugin_plan(tmp_path), bundle, generated_at=STAMP)
-        broken = replace(make_component(tmp_path, "sample"), payload_path=tmp_path / "missing")
-        title = "WordPress Plugin Sample 1.0 - SQL Injection"
-        plan = build_plan(parse_title(title), IMAGE, [broken], CONFIG, edb_id=501, title=title)
-        with pytest.raises(BundleWriteError):
-            emit_bundle(plan, bundle, generated_at=datetime(2022, 1, 1, tzinfo=timezone.utc))
+        emit(plugin_plan(), bundle)
+        before = {path: (bundle / path).read_bytes() for path in files_on_disk(bundle)}
+        for dest in stage_bundle(bundle, staged):
+            dest.mkdir(parents=True)
+            (dest / "x.php").write_text("<?php // staged\n", encoding="utf-8")
+        with pytest.raises(BundleWriteError, match="staged"):
+            emit_bundle(plugin_plan(), bundle, generated_at=datetime(2022, 1, 1, tzinfo=timezone.utc))
         assert not staging_dir(bundle).exists()
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle", "payloads"]
-        for entry in earlier.files:
-            assert hashlib.sha256((bundle / entry.path).read_bytes()).hexdigest() == entry.sha256
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle"]
+        assert {path: (bundle / path).read_bytes() for path in files_on_disk(bundle)} == before
 
     def test_leftover_staging_dir_is_cleared_first(self, tmp_path):
         bundle = tmp_path / "bundle"
         (staging_dir(bundle) / "components" / "ghost").mkdir(parents=True)
         (staging_dir(bundle) / "components" / "ghost" / "g.php").write_text("x", encoding="utf-8")
-        manifest = emit_bundle(core_plan(), bundle, generated_at=STAMP)
+        manifest = emit(core_plan(), bundle)
         assert set(manifest.digest_map()) == set(BUNDLE_FILES) == files_on_disk(bundle)
         assert not staging_dir(bundle).exists()
 
+    def test_staging_for_a_fetch_makes_only_the_parent(self, tmp_path):
+        bundle = tmp_path / "out" / "bundle"
+        staging_dir(bundle).mkdir(parents=True)
+        (staging_dir(bundle) / "left.txt").write_text("crashed run", encoding="utf-8")
+        assert stage_bundle(bundle, ("a", "b")) == [
+            staging_dir(bundle) / "components" / "a",
+            staging_dir(bundle) / "components" / "b",
+        ]
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_staged_payload_is_moved_not_copied(self, tmp_path, monkeypatch):
         bundle = tmp_path / "bundle"
-        staged = staging_dir(bundle) / "components" / "sample"
+        [staged] = stage_bundle(bundle, ("sample",))
+        assert staged == staging_dir(bundle) / "components" / "sample"
         staged.mkdir(parents=True)
         (staged / "sample.php").write_text("<?php // staged\n", encoding="utf-8")
-        component = replace(make_component(tmp_path, "sample"), payload_path=staged)
-        title = "WordPress Plugin Sample 1.0 - SQL Injection"
-        plan = build_plan(parse_title(title), IMAGE, [component], CONFIG, edb_id=501, title=title)
         copies = []
         monkeypatch.setattr("vulnwp.iac.shutil.copytree", lambda *a, **k: copies.append(a))
-        manifest = emit_bundle(plan, bundle, generated_at=STAMP)
+        manifest = emit_bundle(plugin_plan(), bundle, generated_at=STAMP)
         assert copies == []
         assert (bundle / "components" / "sample" / "sample.php").read_text() == "<?php // staged\n"
         assert files_on_disk(bundle) == set(manifest.digest_map())
@@ -377,7 +398,7 @@ class TestRenderedFileWrites:
     def test_modes_under_a_strict_umask(self, tmp_path):
         previous = os.umask(0o077)
         try:
-            emit_bundle(plugin_plan(tmp_path), tmp_path / "bundle", generated_at=STAMP)
+            emit(plugin_plan(), tmp_path / "bundle")
         finally:
             os.umask(previous)
         modes = {name: stat.S_IMODE((tmp_path / "bundle" / name).stat().st_mode) for name in BUNDLE_FILES}
@@ -389,8 +410,8 @@ class TestRenderedFileWrites:
         }
 
     def test_short_writes_give_the_same_bundle(self, tmp_path, monkeypatch):
-        plan = plugin_plan(tmp_path)
-        normal = emit_bundle(plan, tmp_path / "normal", generated_at=STAMP)
+        plan = plugin_plan()
+        normal = emit(plan, tmp_path / "normal")
         real_write = os.write
         calls = []
 
@@ -399,7 +420,7 @@ class TestRenderedFileWrites:
             return real_write(fd, data[:1])
 
         monkeypatch.setattr("vulnwp.iac.os.write", one_byte)
-        short = emit_bundle(plan, tmp_path / "short", generated_at=STAMP)
+        short = emit(plan, tmp_path / "short")
         monkeypatch.undo()
         assert short.digest_map() == normal.digest_map()
         rendered = 0
@@ -413,7 +434,7 @@ class TestRenderedFileWrites:
     @pytest.mark.parametrize("failing", ["write", "fchmod"])
     def test_no_descriptor_stays_open(self, tmp_path, monkeypatch, failing):
         before = open_descriptors()
-        emit_bundle(plugin_plan(tmp_path), tmp_path / "bundle", generated_at=STAMP)
+        emit(plugin_plan(), tmp_path / "bundle")
         assert open_descriptors() == before
 
         def fail(*args):
@@ -421,7 +442,7 @@ class TestRenderedFileWrites:
 
         monkeypatch.setattr(f"vulnwp.iac.os.{failing}", fail)
         with pytest.raises(BundleWriteError):
-            emit_bundle(core_plan(), tmp_path / "failed", generated_at=STAMP)
+            emit(core_plan(), tmp_path / "failed")
         monkeypatch.undo()
         assert open_descriptors() == before
         assert not staging_dir(tmp_path / "failed").exists()
@@ -429,7 +450,7 @@ class TestRenderedFileWrites:
 
 class TestComposeSubset:
     def _emitted(self, tmp_path) -> str:
-        emit_bundle(plugin_plan(tmp_path), tmp_path / "bundle", generated_at=STAMP)
+        emit(plugin_plan(), tmp_path / "bundle")
         return (tmp_path / "bundle" / "docker-compose.yml").read_text(encoding="utf-8")
 
     def test_accepts_emitted_compose(self, tmp_path):
@@ -509,7 +530,6 @@ def provenance_plans(draw) -> EnvironmentPlan:
                 lambda segments: Version(tuple(segments), ".".join(map(str, segments)))
             )),
             source=ComponentSource(draw(st.sampled_from(SourceKind)), draw(_texts.filter(bool))),
-            payload_path=Path("unused"),
         )
         for slug in slugs
     ]
@@ -555,7 +575,7 @@ class TestProvenanceRendering:
         core = core_plan()
         assert '"components": [],' in _render_provenance(core, STAMP)
         assert _render_provenance(core, STAMP) == reference_provenance(core, STAMP)
-        component = replace(make_component(tmp_path, "sample"), version=None)
+        component = replace(make_component("sample"), version=None)
         title = "WordPress Plugin Sample - XSS"
         plan = build_plan(parse_title(title), IMAGE, [component], CONFIG, edb_id=9, title=title)
         assert '"version": null' in _render_provenance(plan, STAMP)
@@ -565,21 +585,30 @@ class TestProvenanceRendering:
 class TestBundleManifest:
     @given(st.permutations(["components/a-b/x.php", "Dockerfile", "components/a/y.php", "setup.sh"]))
     def test_files_sort_by_path_parts_whatever_the_insertion_order(self, paths):
-        manifest = BundleManifest.from_digests("out/1", {path: "0" for path in paths})
+        manifest = BundleManifest("out/1", {path: "0" for path in paths})
         assert [f.path for f in manifest.files] == [
             "Dockerfile", "components/a/y.php", "components/a-b/x.php", "setup.sh",
         ]
 
+    @given(st.permutations([("components/a-b/x.php", "11"), ("Dockerfile", "22"), ("setup.sh", "33")]))
+    def test_equal_and_hash_equal_whatever_the_insertion_order(self, items):
+        manifest = BundleManifest(Path("out/1"), dict(items))
+        other = BundleManifest("out/1", dict(reversed(items)))
+        assert manifest == other
+        assert hash(manifest) == hash(other)
+        assert manifest != BundleManifest("out/2", dict(items))
+        assert manifest != BundleManifest("out/1", {**dict(items), "setup.sh": "44"})
+
     def emitted(self, tmp_path) -> BundleManifest:
-        payload = tmp_path / "payloads" / "nested"
+        bundle = str(tmp_path / "bundle")
+        [payload] = stage_bundle(bundle, ("nested",))
         (payload / "a").mkdir(parents=True)
         (payload / "a-b").mkdir()
         (payload / "a-b" / "x.php").write_bytes(b"<?php // x\n")
         (payload / "a" / "y.php").write_bytes(b"<?php // y\n")
-        component = replace(make_component(tmp_path, "nested"), payload_path=payload)
         title = "WordPress Plugin Nested 1.0 - XSS"
-        plan = build_plan(parse_title(title), IMAGE, [component], CONFIG, edb_id=7, title=title)
-        return emit_bundle(plan, str(tmp_path / "bundle"), generated_at=STAMP)
+        plan = build_plan(parse_title(title), IMAGE, [make_component("nested")], CONFIG, edb_id=7, title=title)
+        return emit_bundle(plan, bundle, generated_at=STAMP)
 
     def test_a_manifest_read_back_from_a_row_equals_the_emitted_one(self, tmp_path):
         emitted = self.emitted(tmp_path)
@@ -588,34 +617,24 @@ class TestBundleManifest:
         )
         row = json.loads(json.dumps(outcome.to_json_dict(), sort_keys=True))
         read_back = GenerationOutcome.from_json_dict(row).manifest
-        eager = BundleManifest(
-            tmp_path / "bundle",
-            tuple(FileDigest(f.path, f.sha256) for f in emitted.files),
-        )
-        assert read_back == emitted == eager
-        assert hash(read_back) == hash(emitted) == hash(eager)
-        assert repr(read_back) == repr(emitted) == repr(eager)
+        assert read_back == emitted
+        assert hash(read_back) == hash(emitted)
         paths = [f.path for f in read_back.files]
         assert paths.index("components/nested/a/y.php") < paths.index("components/nested/a-b/x.php")
 
-    def test_bundle_dir_is_a_path_whether_emitted_or_read_back(self, tmp_path):
+    def test_bundle_dir_is_kept_as_handed(self, tmp_path):
         emitted = self.emitted(tmp_path)
         row = {"edb_id": 7, "status": "success", "elapsed": 0.0,
                "bundle": {"dir": str(tmp_path / "bundle"), "files": emitted.digest_map()}}
         read_back = GenerationOutcome.from_json_dict(row).manifest
-        assert type(emitted.bundle_dir) is type(read_back.bundle_dir) is type(tmp_path)
-        assert emitted.bundle_dir == read_back.bundle_dir == tmp_path / "bundle"
+        assert emitted.bundle_dir == tmp_path / "bundle"
+        assert read_back.bundle_dir is row["bundle"]["dir"]
+        assert read_back == emitted
 
     def test_changing_the_digest_map_copy_leaves_the_manifest_alone(self):
-        manifest = BundleManifest.from_digests("out/1", {"Dockerfile": "aa", "setup.sh": "bb"})
+        manifest = BundleManifest("out/1", {"Dockerfile": "aa", "setup.sh": "bb"})
         copy = manifest.digest_map()
         copy["Dockerfile"] = "changed"
         copy["extra"] = "cc"
         assert manifest.digest_map() == {"Dockerfile": "aa", "setup.sh": "bb"}
         assert manifest.files == (FileDigest("Dockerfile", "aa"), FileDigest("setup.sh", "bb"))
-
-    def test_eager_files_keep_their_order(self):
-        files = (FileDigest("setup.sh", "bb"), FileDigest("Dockerfile", "aa"))
-        manifest = BundleManifest(Path("out/1"), files)
-        assert manifest.files == files
-        assert manifest != BundleManifest.from_digests("out/1", manifest.digest_map())

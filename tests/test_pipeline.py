@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import vulnwp.pipeline
 from vulnwp.bootstrap import ReadinessClient, SimulatedClock
 from vulnwp.iac import BUNDLE_FILES, staging_dir
 from vulnwp.pipeline import (
@@ -256,12 +257,20 @@ class TestStagedEmission:
         assert outcome.reason is FailureReason.NO_VULNERABLE_APPLICATION
         assert not any(services.out_dir.iterdir())
 
-    def test_payload_is_fetched_into_the_staging_dir(self, e2e_corpus, services):
+    def test_payload_is_fetched_into_the_staging_dir(self, e2e_corpus, services, monkeypatch):
+        dests = []
+        fetch = vulnwp.pipeline.fetch_component
+
+        def recording_fetch(**kwargs):
+            dests.append(kwargs["dest"])
+            return fetch(**kwargs)
+
+        monkeypatch.setattr(vulnwp.pipeline, "fetch_component", recording_fetch)
         outcome = generate(e2e_corpus.records[103], services)
         bundle = services.out_dir / "103"
-        component = outcome.plan.components[0]
-        assert component.payload_path == staging_dir(bundle) / "components" / component.slug
-        assert not component.payload_path.exists()
+        slug = outcome.plan.components[0].slug
+        assert dests == [staging_dir(bundle) / "components" / slug]
+        assert not dests[0].exists()
         assert not staging_dir(bundle).exists()
         on_disk = {p.relative_to(bundle).as_posix() for p in bundle.rglob("*") if p.is_file()}
         assert on_disk == set(outcome.manifest.digest_map())

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vulnwp.errors import UnknownRecordError, VulnwpError
-from vulnwp.iac import BundleManifest, FileDigest
+from vulnwp.iac import BundleManifest
 from vulnwp.pipeline import FailureReason, GenerationOutcome, OutcomeStatus
 from vulnwp.reporting import (
     parse_report_json,
@@ -37,8 +37,8 @@ _texts = st.none() | st.text(alphabet=["x", "-", ".", "/", ":", "\u00fc", "\u202
 
 @st.composite
 def outcomes(draw) -> GenerationOutcome:
-    """Any outcome write_outcomes may be given: successes with manifests in
-    emit order, every failure reason, and any elapsed float."""
+    """Any outcome write_outcomes may be given: successes with or without a
+    manifest, every failure reason, and any elapsed float."""
     reason = draw(st.none() | st.sampled_from(FailureReason))
     manifest = None
     if reason is None and draw(st.booleans()):
@@ -47,10 +47,7 @@ def outcomes(draw) -> GenerationOutcome:
             st.text(alphabet="0123456789abcdef", min_size=1, max_size=8),
             max_size=5,
         ))
-        manifest = BundleManifest(
-            bundle_dir=Path(draw(st.lists(_segments, min_size=1, max_size=3).map("/".join))),
-            files=tuple(FileDigest(p, files[p]) for p in sorted(files, key=lambda p: p.split("/"))),
-        )
+        manifest = BundleManifest(Path(draw(st.lists(_segments, min_size=1, max_size=3).map("/".join))), files)
     return GenerationOutcome(
         edb_id=draw(st.sampled_from(sorted(E2E_EXPECTED))),
         status=OutcomeStatus.SUCCESS if reason is None else OutcomeStatus.FAILURE,
