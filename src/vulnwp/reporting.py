@@ -10,7 +10,9 @@ report.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -196,26 +198,99 @@ def parse_report_json(text: str) -> BatchReport:
     )
 
 
-# One encoder and one decoder serve every row: json.dumps and json.loads
-# check their arguments and look up a codec on each call. Rows are fresh
-# trees of dicts and lists, so the encoder need not look for cycles; that
-# changes no byte it writes.
+# One decoder reads every row, and one encoder writes every row the template
+# below does not: json.dumps and json.loads check their arguments and look
+# up a codec on each call. Rows are fresh trees of dicts and lists, so the
+# encoder need not look for cycles; that changes no byte it writes.
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 _ROW_DECODER = json.JSONDecoder()
+_json_string = json.encoder.encode_basestring_ascii
+# float.__repr__ of the floats JSON has no literal for, and what the row
+# encoder writes for them.
+_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _render_row(outcome: GenerationOutcome) -> str | None:
+    """The outcome's row, with its newline, as _ROW_ENCODER writes
+    outcome.to_json_dict(); None when a field holds a type the template does
+    not cover, which only an API caller can build.
+
+    Keys come in sorted order, and each leaf is encoded as the encoder
+    encodes it: strings by the C string encoder, integers by int.__repr__,
+    floats by float.__repr__ or as NaN, Infinity and -Infinity, None as
+    null, the digest map in sorted key order.
+    """
+    edb_id = outcome.edb_id
+    elapsed = outcome.elapsed
+    reason = outcome.reason
+    image = outcome.image
+    sources = outcome.sources
+    archive = outcome.unused_app_archive
+    manifest = outcome.manifest
+    if type(elapsed) is float:
+        number = float.__repr__(elapsed)
+        number = _FLOAT_SPECIALS.get(number, number)
+    elif type(elapsed) is int:
+        number = int.__repr__(elapsed)
+    else:
+        return None
+    if (
+        type(edb_id) is not int
+        or type(outcome.status) is not OutcomeStatus
+        or (reason is not None and type(reason) is not FailureReason)
+        or (image is not None and type(image) is not str)
+        or (archive is not None and type(archive) is not str)
+        or type(sources) is not tuple
+        or (sources and not set(map(type, sources)) <= {str})
+    ):
+        return None
+    text = _json_string
+    bundle = "null"
+    if manifest:
+        bundle_dir = str(manifest.bundle_dir)
+        files = manifest.digest_map()
+        if (
+            type(bundle_dir) is not str
+            or type(files) is not dict
+            or not set(map(type, files)) | set(map(type, files.values())) <= {str}
+        ):
+            return None
+        digests = ", ".join([f"{text(name)}: {text(files[name])}" for name in sorted(files)])
+        bundle = f'{{"dir": {text(bundle_dir)}, "files": {{{digests}}}}}'
+    return (
+        f'{{"bundle": {bundle}, "edb_id": {int.__repr__(edb_id)}, "elapsed": {number}, '
+        f'"image": {"null" if image is None else text(image)}, '
+        f'"reason": {"null" if reason is None else text(reason._value_)}, '
+        f'"sources": [{", ".join(map(text, sources))}], '
+        f'"status": {text(outcome.status._value_)}, '
+        f'"unused_app_archive": {"null" if archive is None else text(archive)}}}\n'
+    )
 
 
 def write_outcomes(outcomes: Iterable[GenerationOutcome], path: Path | str) -> None:
     """Persist outcomes as newline-delimited JSON, one object per line.
 
     Each row is GenerationOutcome.to_json_dict() as json.dumps(row,
-    sort_keys=True) writes it, ASCII only, followed by a newline. The
-    rows are streamed: one is encoded and written at a time.
+    sort_keys=True) writes it, ASCII only, followed by a newline. Rows are
+    rendered from a fixed template that gives those bytes; an outcome with
+    a field of any other type goes through the JSON encoder. The rows are
+    streamed into <path>.partial, which then replaces path whole, so path
+    holds either its earlier content or every row. On any error the
+    partial file is removed and the error raised.
     """
+    partial = f"{os.fspath(path)}.partial"
     encode = _ROW_ENCODER.encode
-    with Path(path).open("w", encoding="utf-8") as handle:
-        write = handle.write
-        for outcome in outcomes:
-            write(encode(outcome.to_json_dict()) + "\n")
+    render = _render_row
+    try:
+        with open(partial, "w", encoding="utf-8") as handle:
+            write = handle.write
+            for outcome in outcomes:
+                write(render(outcome) or encode(outcome.to_json_dict()) + "\n")
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(partial)
+        raise
 
 
 def read_outcomes(path: Path | str) -> list[GenerationOutcome]:
@@ -226,12 +301,13 @@ def read_outcomes(path: Path | str) -> list[GenerationOutcome]:
     line of the first row that is not an outcome row: text that is not
     UTF-8 or not one JSON value, a value that is not an object, a missing
     key, a field of the wrong type (named in the message), an unknown
-    status or reason, or a failure without a reason. Each row's manifest
-    is the row's directory string and digest map, with no Path built and
-    nothing sorted.
+    status or reason, or a failure without a reason. Text that is not JSON
+    gets json.loads's message and its column on the line. Each row's
+    manifest is the row's directory string and digest map, with no Path
+    built and nothing sorted.
     """
     path = Path(path)
-    decode = _ROW_DECODER.decode
+    raw_decode = _ROW_DECODER.raw_decode
     from_row = GenerationOutcome.from_json_dict
     outcomes = []
     append = outcomes.append
@@ -243,8 +319,17 @@ def read_outcomes(path: Path | str) -> list[GenerationOutcome]:
             for number, line in enumerate(handle, 1):
                 row = line.strip()
                 if row:
-                    row.encode("utf-8")
-                    payload = decode(row)
+                    # A surrogate is never ASCII.
+                    if not row.isascii():
+                        row.encode("utf-8")
+                    # The row is stripped, so its value starts at 0. What
+                    # follows the value is refused as JSONDecoder.decode
+                    # refuses it, at the first byte past JSON whitespace.
+                    payload, end = raw_decode(row)
+                    if end != len(row):
+                        rest = row[end:]
+                        end += len(rest) - len(rest.lstrip(" \t\n\r"))
+                        raise json.JSONDecodeError("Extra data", row, end)
                     if not isinstance(payload, dict):
                         raise TypeError(f"a row is a JSON object, not {type(payload).__name__}")
                     append(from_row(payload))

@@ -29,34 +29,43 @@ from conftest import E2E_BY_REASON, E2E_BY_SOURCE, E2E_EXPECTED, E2E_SUCCESS_COU
 
 # Path segments mix "-", "." and non-ASCII text with U+2028, which
 # str.splitlines (but not a file's line iteration) treats as a line break.
+# Any text may hold control characters, DEL and characters past U+FFFF.
+_unicode = st.text(alphabet=["\x00", "\x1f", "\x7f", "\n", "\u00ff", "\ud7ff", "\U0001f600"], max_size=4) | st.text()
 _segments = st.text(
     alphabet=["a", "b", "-", ".", "_", "\u00e9", "\u65e5", "\u2028", '"'], min_size=1, max_size=4
-)
-_texts = st.none() | st.text(alphabet=["x", "-", ".", "/", ":", "\u00fc", "\u2028", "\\"], max_size=6)
+) | _unicode.filter(bool)
+_texts = st.none() | st.text(alphabet=["x", "-", ".", "/", ":", "\u00fc", "\u2028", "\\"], max_size=6) | _unicode
 
 
 @st.composite
 def outcomes(draw) -> GenerationOutcome:
     """Any outcome write_outcomes may be given: successes with or without a
-    manifest, every failure reason, and any elapsed float."""
+    manifest, its directory a Path or (as read_outcomes gives it) a str,
+    every failure reason, any id, and any elapsed float or integer."""
     reason = draw(st.none() | st.sampled_from(FailureReason))
     manifest = None
     if reason is None and draw(st.booleans()):
         files = draw(st.dictionaries(
             st.lists(_segments, min_size=1, max_size=3).map("/".join),
-            st.text(alphabet="0123456789abcdef", min_size=1, max_size=8),
+            st.text(alphabet="0123456789abcdef", min_size=1, max_size=8) | _unicode,
             max_size=5,
         ))
-        manifest = BundleManifest(Path(draw(st.lists(_segments, min_size=1, max_size=3).map("/".join))), files)
+        bundle_dir = draw(st.lists(_segments, min_size=1, max_size=3).map("/".join))
+        manifest = BundleManifest(draw(st.sampled_from([Path, str]))(bundle_dir), files)
     return GenerationOutcome(
-        edb_id=draw(st.sampled_from(sorted(E2E_EXPECTED))),
+        edb_id=draw(st.sampled_from(sorted(E2E_EXPECTED)) | st.integers(min_value=0)),
         status=OutcomeStatus.SUCCESS if reason is None else OutcomeStatus.FAILURE,
-        elapsed=draw(st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])),
+        elapsed=draw(
+            st.floats()
+            | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+            | st.integers()
+            | st.sampled_from([2**63, -(2**63) - 1, 2**64 + 1, -(10**30)])
+        ),
         reason=reason,
         manifest=manifest,
         image=draw(_texts),
         sources=tuple(draw(st.lists(
-            st.sampled_from(["svn-repo", "software-link", "attached-archive"]) | st.text(max_size=3),
+            st.sampled_from(["svn-repo", "software-link", "attached-archive"]) | st.text(max_size=3) | _unicode,
             max_size=3,
         ))),
         unused_app_archive=draw(_texts),
@@ -65,6 +74,18 @@ def outcomes(draw) -> GenerationOutcome:
 
 def encoded(outcome: GenerationOutcome) -> str:
     return json.dumps(outcome.to_json_dict(), sort_keys=True)
+
+
+class _Id(int):
+    pass
+
+
+class _Number(float):
+    pass
+
+
+class _Text(str):
+    pass
 
 
 class CountingTagIndex(TagIndex):
@@ -221,7 +242,51 @@ class TestOutcomePersistence:
             loaded = read_outcomes(path)
         assert [encoded(o) for o in loaded] == [encoded(o) for o in rows]
         assert [o.manifest for o in loaded] == [o.manifest for o in rows]
-        assert summarize(loaded, corpus) == summarize(rows, corpus)
+        known = corpus.records
+        assert summarize([o for o in loaded if o.edb_id in known], corpus) == summarize(
+            [o for o in rows if o.edb_id in known], corpus
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(outcomes(), max_size=8))
+    def test_write_read_write_is_a_fixed_point(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.ndjson", Path(tmp) / "second.ndjson"
+            write_outcomes(rows, first)
+            write_outcomes(read_outcomes(first), second)
+            assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"edb_id": True},
+            {"edb_id": _Id(7)},
+            {"elapsed": _Number(0.25)},
+            {"elapsed": False},
+            {"image": _Text("wordpress:5.0")},
+            {"unused_app_archive": _Text("app.zip")},
+            {"sources": ["svn-repo", "software-link"]},
+            {"sources": (_Text("svn-repo"),)},
+            {"manifest": BundleManifest("out/7", {"Dockerfile": _Text("ab"), "a/b": "cd"})},
+            {"manifest": BundleManifest(Path("out/7"), {_Text("Dockerfile"): "ab"})},
+        ],
+    )
+    def test_outcomes_with_other_leaf_types_keep_the_encoders_bytes(self, tmp_path, fields):
+        outcome = GenerationOutcome(**{"edb_id": 7, "status": OutcomeStatus.SUCCESS, "elapsed": 0.5, **fields})
+        path = tmp_path / "outcomes.ndjson"
+        write_outcomes([outcome], path)
+        assert path.read_text(encoding="utf-8") == encoded(outcome) + "\n"
+
+    def test_a_failed_write_leaves_the_earlier_file_as_it_was(self, batch, tmp_path):
+        _, outcomes = batch
+        bad = GenerationOutcome(edb_id=7, status=OutcomeStatus.SUCCESS, elapsed=0.5, image=b"wordpress:5.0")
+        path = tmp_path / "outcomes.ndjson"
+        write_outcomes(outcomes, path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError, match="bytes is not JSON serializable"):
+            write_outcomes([outcomes[0], bad], path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["outcomes.ndjson"]
 
 
 class TestReadingOtherRows:
@@ -348,6 +413,33 @@ class TestReadingOtherRows:
         text = "\n".join(rows) + "\n"
         with pytest.raises(VulnwpError, match=r"outcomes\.ndjson line 3 column \d+: "):
             self.read(tmp_path, text[:-20])
+
+    def test_text_that_is_not_one_json_value_gets_the_decoders_message_and_column(self, batch, tmp_path):
+        """Every cut of a valid row, and every valid row with text after it,
+        is refused with the message and column JSONDecoder.decode gives for
+        the row (the line without its surrounding whitespace)."""
+        _, outcomes = batch
+        # One row of each shape: failure, success, with sources, with a bundle.
+        shapes = {(o.status, bool(o.sources), o.manifest is None): encoded(o) for o in outcomes}
+        valid = list(shapes.values())
+        valid.append('{"edb_id": 1, "elapsed": 0.5, "image": "wörd press", "status": "success"}')
+        decode = json.JSONDecoder().decode
+        path = tmp_path / "outcomes.ndjson"
+        for row in valid:
+            for bad in [row[:cut] for cut in range(1, len(row))] + [row + tail for tail in (" x", "]", ",")]:
+                try:
+                    decode(bad.strip())
+                except json.JSONDecodeError as exc:
+                    expected = f"{path} line 3 column {exc.colno}: {exc.msg}"
+                else:
+                    pytest.fail(f"{bad!r} decodes")
+                path.write_text(f"{valid[0]}\n\n{bad}\n{valid[1]}\n", encoding="utf-8")
+                try:
+                    read_outcomes(path)
+                except VulnwpError as exc:
+                    assert str(exc) == expected
+                else:
+                    pytest.fail(f"{bad!r} loads")
 
     def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, rows):
         text = f"{rows[0]}\n{rows[1]}\n".encode("utf-8") + b'{"edb_id": 1, "x": "\xff"}\n'
