@@ -89,16 +89,17 @@ class ReadinessClient(ABC):
 
 
 class HttpReadinessClient(ReadinessClient):
-    def __init__(self, timeout: float = 5.0, session=None) -> None:
+    _TIMEOUT = 5.0
+
+    def __init__(self, session=None) -> None:
         if session is None:
             import requests
 
             session = requests.Session()
         self._session = session
-        self._timeout = timeout
 
     def get_status(self, url: str) -> int:
-        return self._session.get(url, timeout=self._timeout, allow_redirects=False).status_code
+        return self._session.get(url, timeout=self._TIMEOUT, allow_redirects=False).status_code
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,13 @@ Subcommands:
   stats OUTCOMES_FILE   re-summarize a previous batch without rerunning
 
 Global flags pick the corpus, the fixture directory (offline clients),
-the output directory, the mode, and JSON output. A batch runs its
-records one after another on one set of clients, so the registry tag
-list and each CVE are fetched once per run. With `--mode bootstrap`,
-each generation also builds, starts, probes and configures its stack
-through the docker CLI in the same pass; a runtime that is missing or
-down ends as an error-during-setup outcome. Exit codes: 0 success, 2
+the output directory, the mode, and JSON output; with --json, generate
+prints the outcome row batch writes to outcomes.ndjson for that record.
+A batch runs its records one after another on one set of clients, so
+the registry tag list and each CVE are fetched once per run. With
+`--mode bootstrap`, each generation also builds, starts, probes and
+configures its stack through the docker CLI in the same pass; a runtime
+that is missing or down ends as an error-during-setup outcome. Exit codes: 0 success, 2
 the requested generation failed, 1 usage or configuration error.
 """
 
@@ -31,6 +32,7 @@ from .pipeline import GenerationMode, PipelineServices, generate
 from .reporting import (
     read_outcomes,
     render_json,
+    render_row,
     render_text,
     run_batch,
     summarize,
@@ -136,7 +138,7 @@ def _cmd_generate(args) -> int:
         raise VulnwpError(f"exploit id {args.edb_id} is not in the corpus")
     outcome = generate(record, _build_services(args), GenerationMode(args.mode))
     if args.json:
-        print(json.dumps(outcome.to_json_dict(), indent=2, sort_keys=True))
+        print(render_row(outcome), end="")
     elif outcome.is_success:
         print(f"{outcome.edb_id}: generated into {outcome.manifest.bundle_dir} (image {outcome.image})")
     else:

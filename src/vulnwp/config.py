@@ -5,31 +5,20 @@ randomized; reproducing the same bundle twice must give identical bytes.
 Override any of it with a JSON config file (see GeneratorConfig.from_json)
 when the defaults clash with local policy. A config that could not work
 (an unknown key, probe timing that cannot poll, a port outside 1-65535,
-an empty or non-printable string that would break the emitted files, a
-database value that YAML would read back as something else) is refused
-when it is built, before anything runs.
+an empty or non-printable string that would break the emitted files) is
+refused when it is built, before anything runs. Printable values may
+hold any character: the compose file quotes every value it carries.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
 from pathlib import Path
-
-import yaml
 
 from .errors import VulnwpError
 
 __all__ = ["DatabaseSpec", "SiteSpec", "GeneratorConfig"]
-
-
-@lru_cache(maxsize=64)
-def _reads_back_as_plain_scalar(value: str) -> bool:
-    try:
-        return yaml.safe_load(f"k: {value}") == {"k": value}
-    except yaml.YAMLError:
-        return False
 
 
 @dataclass(frozen=True)
@@ -79,9 +68,9 @@ class GeneratorConfig:
         port = self.site.http_port
         if isinstance(port, bool) or not isinstance(port, int) or not 1 <= port <= 65535:
             raise VulnwpError(f"site.http_port must be an integer from 1 to 65535, got {port!r}")
-        # These values end up in the bundle; the compose file and the
-        # Dockerfile carry them unquoted, where a line break or other
-        # control character would add keys or instructions.
+        # These values end up in the bundle. The Dockerfile carries docroot
+        # unquoted, where a line break would add an instruction, and YAML
+        # refuses DEL and C1 controls even inside a quoted compose value.
         texts = {"docroot": self.docroot, "readiness_path": self.readiness_path}
         for section, spec in (("database", self.database), ("site", self.site)):
             for spec_field in fields(spec):
@@ -90,18 +79,8 @@ class GeneratorConfig:
         for name, value in texts.items():
             if not isinstance(value, str) or not value or not value.isprintable():
                 raise VulnwpError(f"{name} must be a non-empty printable string, got {value!r}")
-        # The compose file writes each database value as a plain YAML
-        # scalar, which must read back as the same string: "pw #x" would
-        # read as "pw", "123" as a number and "a: b" would not parse.
-        for spec_field in fields(self.database):
-            value = getattr(self.database, spec_field.name)
-            if not _reads_back_as_plain_scalar(value):
-                raise VulnwpError(
-                    f"database.{spec_field.name} {value!r} would not read back from the "
-                    f"compose file as the same string"
-                )
         timing = (self.probe_interval, self.probe_timeout)
-        if not all(isinstance(t, (int, float)) for t in timing):
+        if not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in timing):
             raise VulnwpError(f"probe_interval and probe_timeout must be numbers, got {timing}")
         if self.probe_interval <= 0:
             raise VulnwpError(f"probe_interval must be positive, got {self.probe_interval}")

@@ -20,6 +20,9 @@ on its open descriptor; they are hashed from memory and only the payload
 files are read back. provenance.json is laid out from a fixed template
 whose leaves go through the C string encoder; the bytes are those of
 json.dumps(payload, indent=2, sort_keys=True) plus a newline.
+docker-compose.yml writes every value as a JSON string, which YAML reads
+as a double-quoted scalar equal to the value, so no value can add a key
+or read back as a number, a comment or null.
 
 The returned BundleManifest is the bundle directory and the {relative
 path: sha256} map emission built.
@@ -285,29 +288,36 @@ def _render_dockerfile(plan: EnvironmentPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A JSON string is a YAML double-quoted scalar (YAML 1.2 is a superset of
+# JSON) that reads back as the same string. This variant keeps non-ASCII
+# characters as they are: the ASCII one writes a character outside the BMP
+# as a surrogate-pair escape, which PyYAML reads back as two lone surrogates.
+_yaml_string = json.encoder.encode_basestring
+
+
 def _render_compose(plan: EnvironmentPlan) -> str:
+    q = _yaml_string
     db = plan.database
-    site = plan.site
     return (
         "services:\n"
         f"  {APP_SERVICE}:\n"
-        f"    image: {app_image_name(plan.edb_id)}\n"
+        f"    image: {q(app_image_name(plan.edb_id))}\n"
         "    environment:\n"
-        f"      WORDPRESS_DB_HOST: {DB_SERVICE}\n"
-        f"      WORDPRESS_DB_NAME: {db.name}\n"
-        f"      WORDPRESS_DB_PASSWORD: {db.password}\n"
-        f"      WORDPRESS_DB_USER: {db.user}\n"
+        f"      WORDPRESS_DB_HOST: {q(DB_SERVICE)}\n"
+        f"      WORDPRESS_DB_NAME: {q(db.name)}\n"
+        f"      WORDPRESS_DB_PASSWORD: {q(db.password)}\n"
+        f"      WORDPRESS_DB_USER: {q(db.user)}\n"
         "    ports:\n"
-        f"      - \"{site.http_port}:80\"\n"
+        f"      - {q(f'{plan.site.http_port}:80')}\n"
         "    depends_on:\n"
-        f"      - {DB_SERVICE}\n"
+        f"      - {q(DB_SERVICE)}\n"
         f"  {DB_SERVICE}:\n"
-        f"    image: {db.image}\n"
+        f"    image: {q(db.image)}\n"
         "    environment:\n"
-        f"      MYSQL_DATABASE: {db.name}\n"
-        f"      MYSQL_PASSWORD: {db.password}\n"
-        f"      MYSQL_ROOT_PASSWORD: {db.root_password}\n"
-        f"      MYSQL_USER: {db.user}\n"
+        f"      MYSQL_DATABASE: {q(db.name)}\n"
+        f"      MYSQL_PASSWORD: {q(db.password)}\n"
+        f"      MYSQL_ROOT_PASSWORD: {q(db.root_password)}\n"
+        f"      MYSQL_USER: {q(db.user)}\n"
     )
 
 

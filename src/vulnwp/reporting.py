@@ -6,6 +6,10 @@ a success rate, a per-year breakdown, per-source counts for the
 successful extension scenarios, and per-reason failure counts. The
 report renders as a text table or as JSON that parses back to an equal
 report.
+
+This module alone knows the outcome row format of outcomes.ndjson:
+render_row is its one writer and read_outcomes its one reader, and the
+writer refuses any value the reader would not read back.
 """
 
 from __future__ import annotations
@@ -14,11 +18,12 @@ import contextlib
 import json
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
+from pathlib import Path, PurePath
 from typing import Iterable
 
 from .corpus import Corpus
 from .errors import UnknownRecordError, VulnwpError
+from .iac import BundleManifest
 from .pipeline import (
     FailureReason,
     GenerationMode,
@@ -36,6 +41,7 @@ __all__ = [
     "render_text",
     "render_json",
     "parse_report_json",
+    "render_row",
     "write_outcomes",
     "read_outcomes",
 ]
@@ -198,94 +204,163 @@ def parse_report_json(text: str) -> BatchReport:
     )
 
 
-# One decoder reads every row, and one encoder writes every row the template
-# below does not: json.dumps and json.loads check their arguments and look
-# up a codec on each call. Rows are fresh trees of dicts and lists, so the
-# encoder need not look for cycles; that changes no byte it writes.
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 _ROW_DECODER = json.JSONDecoder()
 _json_string = json.encoder.encode_basestring_ascii
-# float.__repr__ of the floats JSON has no literal for, and what the row
+# float.__repr__ of the floats JSON has no literal for, and what the C
 # encoder writes for them.
 _FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_STATUS_BY_VALUE = {status.value: status for status in OutcomeStatus}
+_REASON_BY_VALUE = {reason.value: reason for reason in FailureReason}
+_STR_TYPE = {str}
 
 
-def _render_row(outcome: GenerationOutcome) -> str | None:
-    """The outcome's row, with its newline, as _ROW_ENCODER writes
-    outcome.to_json_dict(); None when a field holds a type the template does
-    not cover, which only an API caller can build.
+def _wrong_type(name: str, wanted: str, value: object) -> TypeError:
+    return TypeError(f"{name} must be {wanted}, not {type(value).__name__}")
 
-    Keys come in sorted order, and each leaf is encoded as the encoder
-    encodes it: strings by the C string encoder, integers by int.__repr__,
-    floats by float.__repr__ or as NaN, Infinity and -Infinity, None as
-    null, the digest map in sorted key order.
+
+def render_row(outcome: GenerationOutcome) -> str:
+    """The outcome's row in outcomes.ndjson, with its newline.
+
+    The bytes are those json.dumps(row, sort_keys=True) writes for the row
+    as a dict: keys in sorted order, strings by the C string encoder (ASCII
+    only), integers by int.__repr__, floats by float.__repr__ or as NaN,
+    Infinity and -Infinity, None as null, the digest map in sorted key
+    order. Subclasses of int, float and str, and sources given as a list,
+    get the bytes json.dumps gives them. Raises TypeError naming the field
+    for a value read_outcomes would not read back as itself: a bool id or
+    elapsed, bytes, a digest map key that is not a string, or any other
+    type.
     """
     edb_id = outcome.edb_id
     elapsed = outcome.elapsed
+    status = outcome.status
     reason = outcome.reason
     image = outcome.image
     sources = outcome.sources
     archive = outcome.unused_app_archive
     manifest = outcome.manifest
-    if type(elapsed) is float:
+    if not isinstance(edb_id, int) or type(edb_id) is bool:
+        raise _wrong_type("edb_id", "an integer", edb_id)
+    if isinstance(elapsed, float):
         number = float.__repr__(elapsed)
         number = _FLOAT_SPECIALS.get(number, number)
-    elif type(elapsed) is int:
+    elif isinstance(elapsed, int) and type(elapsed) is not bool:
         number = int.__repr__(elapsed)
     else:
-        return None
-    if (
-        type(edb_id) is not int
-        or type(outcome.status) is not OutcomeStatus
-        or (reason is not None and type(reason) is not FailureReason)
-        or (image is not None and type(image) is not str)
-        or (archive is not None and type(archive) is not str)
-        or type(sources) is not tuple
-        or (sources and not set(map(type, sources)) <= {str})
+        raise _wrong_type("elapsed", "a number", elapsed)
+    if not isinstance(status, OutcomeStatus):
+        raise _wrong_type("status", "an OutcomeStatus", status)
+    if reason is not None and not isinstance(reason, FailureReason):
+        raise _wrong_type("reason", "a FailureReason or null", reason)
+    if image is not None and not isinstance(image, str):
+        raise _wrong_type("image", "a string or null", image)
+    if archive is not None and not isinstance(archive, str):
+        raise _wrong_type("unused_app_archive", "a string or null", archive)
+    if not isinstance(sources, (tuple, list)) or (
+        sources and not all(isinstance(s, str) for s in sources)
     ):
-        return None
+        raise _wrong_type("sources", "a list of strings", sources)
     text = _json_string
     bundle = "null"
-    if manifest:
-        bundle_dir = str(manifest.bundle_dir)
+    if manifest is not None:
+        if not isinstance(manifest, BundleManifest):
+            raise _wrong_type("manifest", "a BundleManifest or null", manifest)
+        bundle_dir = manifest.bundle_dir
+        if isinstance(bundle_dir, PurePath):
+            bundle_dir = str(bundle_dir)
+        elif not isinstance(bundle_dir, str):
+            raise _wrong_type("bundle dir", "a string or a path", bundle_dir)
         files = manifest.digest_map()
-        if (
-            type(bundle_dir) is not str
-            or type(files) is not dict
-            or not set(map(type, files)) | set(map(type, files.values())) <= {str}
-        ):
-            return None
-        digests = ", ".join([f"{text(name)}: {text(files[name])}" for name in sorted(files)])
+        # The C string encoder refuses anything but a str.
+        try:
+            digests = ", ".join([f"{text(name)}: {text(files[name])}" for name in sorted(files)])
+        except TypeError:
+            raise TypeError("bundle files must map strings to strings") from None
         bundle = f'{{"dir": {text(bundle_dir)}, "files": {{{digests}}}}}'
     return (
         f'{{"bundle": {bundle}, "edb_id": {int.__repr__(edb_id)}, "elapsed": {number}, '
         f'"image": {"null" if image is None else text(image)}, '
         f'"reason": {"null" if reason is None else text(reason._value_)}, '
         f'"sources": [{", ".join(map(text, sources))}], '
-        f'"status": {text(outcome.status._value_)}, '
+        f'"status": {text(status._value_)}, '
         f'"unused_app_archive": {"null" if archive is None else text(archive)}}}\n'
     )
 
 
-def write_outcomes(outcomes: Iterable[GenerationOutcome], path: Path | str) -> None:
-    """Persist outcomes as newline-delimited JSON, one object per line.
+def _from_row(payload: dict) -> GenerationOutcome:
+    """Rebuild the outcome a row holds.
 
-    Each row is GenerationOutcome.to_json_dict() as json.dumps(row,
-    sort_keys=True) writes it, ASCII only, followed by a newline. Rows are
-    rendered from a fixed template that gives those bytes; an outcome with
-    a field of any other type goes through the JSON encoder. The rows are
-    streamed into <path>.partial, which then replaces path whole, so path
-    holds either its earlier content or every row. On any error the
-    partial file is removed and the error raised.
+    The plan does not round-trip; everything reporting needs (status,
+    reason, sources, digests) does. The manifest is the row's directory
+    string and its digest map itself, not a copy; no Path is built and
+    nothing is sorted. Raises KeyError for a missing key, TypeError naming
+    the field for a value of the wrong type, and ValueError for an unknown
+    status or reason or a failure without a reason.
+    """
+    get = payload.get
+    edb_id = payload["edb_id"]
+    status = payload["status"]
+    elapsed = payload["elapsed"]
+    reason = get("reason")
+    image = get("image")
+    sources = get("sources", [])
+    archive = get("unused_app_archive")
+    bundle = get("bundle")
+    if type(edb_id) is not int:
+        raise _wrong_type("edb_id", "an integer", edb_id)
+    if type(status) is not str:
+        raise _wrong_type("status", "a string", status)
+    if type(elapsed) is not float and type(elapsed) is not int:
+        raise _wrong_type("elapsed", "a number", elapsed)
+    if reason is not None and type(reason) is not str:
+        raise _wrong_type("reason", "a string or null", reason)
+    if image is not None and type(image) is not str:
+        raise _wrong_type("image", "a string or null", image)
+    if archive is not None and type(archive) is not str:
+        raise _wrong_type("unused_app_archive", "a string or null", archive)
+    if type(sources) is not list or not set(map(type, sources)) <= _STR_TYPE:
+        raise _wrong_type("sources", "a list of strings", sources)
+    if bundle is not None and type(bundle) is not dict:
+        raise _wrong_type("bundle", "an object or null", bundle)
+    manifest = None
+    if bundle:
+        bundle_dir = bundle["dir"]
+        files = bundle["files"]
+        if type(bundle_dir) is not str:
+            raise _wrong_type("bundle dir", "a string", bundle_dir)
+        if type(files) is not dict:
+            raise _wrong_type("bundle files", "an object", files)
+        if not set(map(type, files)) | set(map(type, files.values())) <= _STR_TYPE:
+            raise TypeError("bundle files must map strings to strings")
+        manifest = BundleManifest(bundle_dir, files)
+    # Dict lookups stand in for the enum calls, which still run (and
+    # raise) for a value no member has.
+    return GenerationOutcome(
+        edb_id,
+        _STATUS_BY_VALUE.get(status) or OutcomeStatus(status),
+        elapsed,
+        (_REASON_BY_VALUE.get(reason) or FailureReason(reason)) if reason else None,
+        None,
+        manifest,
+        image,
+        tuple(sources),
+        archive,
+    )
+
+
+def write_outcomes(outcomes: Iterable[GenerationOutcome], path: Path | str) -> None:
+    """Persist outcomes as newline-delimited JSON, one render_row row per line.
+
+    Every row is one read_outcomes reads back; an outcome with a field it
+    would not (see render_row) raises TypeError. The rows are streamed
+    into <path>.partial, which then replaces path whole, so path holds
+    either its earlier content or every row. On any error the partial
+    file is removed and the error raised.
     """
     partial = f"{os.fspath(path)}.partial"
-    encode = _ROW_ENCODER.encode
-    render = _render_row
     try:
         with open(partial, "w", encoding="utf-8") as handle:
-            write = handle.write
-            for outcome in outcomes:
-                write(render(outcome) or encode(outcome.to_json_dict()) + "\n")
+            handle.writelines(map(render_row, outcomes))
         os.replace(partial, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -308,7 +383,7 @@ def read_outcomes(path: Path | str) -> list[GenerationOutcome]:
     """
     path = Path(path)
     raw_decode = _ROW_DECODER.raw_decode
-    from_row = GenerationOutcome.from_json_dict
+    from_row = _from_row
     outcomes = []
     append = outcomes.append
     number, line = 0, ""
@@ -340,7 +415,7 @@ def read_outcomes(path: Path | str) -> list[GenerationOutcome]:
         raise VulnwpError(f"{path} line {number} column {column}: {exc.msg}") from exc
     except KeyError as exc:
         raise VulnwpError(f"{path} line {number}: row lacks {exc}") from exc
-    # from_json_dict's other errors for a row that is not an outcome row.
+    # _from_row's other errors for a row that is not an outcome row.
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
         raise VulnwpError(f"{path} line {number}: {exc}") from exc
     return outcomes

@@ -136,15 +136,14 @@ class TagIndex(ABC):
 class FixtureTagIndex(TagIndex):
     """Tag index backed by a static list, usually read from a JSON file."""
 
-    def __init__(self, tags: list[str], repository: str = "wordpress") -> None:
+    def __init__(self, tags: list[str]) -> None:
         self._tags = list(tags)
-        self.repository = repository
 
     @classmethod
-    def from_json(cls, path: Path | str, repository: str = "wordpress") -> "FixtureTagIndex":
+    def from_json(cls, path: Path | str) -> "FixtureTagIndex":
         import json
 
-        return cls(json.loads(Path(path).read_text(encoding="utf-8")), repository)
+        return cls(json.loads(Path(path).read_text(encoding="utf-8")))
 
     def list_tags(self) -> list[str]:
         return list(self._tags)
@@ -153,23 +152,19 @@ class FixtureTagIndex(TagIndex):
 class DockerHubTagIndex(TagIndex):
     """Tag index backed by the public hub API (network access required)."""
 
-    def __init__(self, repository: str = "wordpress", namespace: str = "library",
-                 page_size: int = 100, session=None) -> None:
+    _URL = f"https://hub.docker.com/v2/repositories/library/{TagIndex.repository}/tags"
+    _PAGE_SIZE = 100
+
+    def __init__(self, session=None) -> None:
         if session is None:
             import requests
 
             session = requests.Session()
         self._session = session
-        self._namespace = namespace
-        self._page_size = page_size
-        self.repository = repository
 
     def list_tags(self) -> list[str]:
-        url = (
-            f"https://hub.docker.com/v2/repositories/"
-            f"{self._namespace}/{self.repository}/tags"
-        )
-        params: dict | None = {"page_size": self._page_size}
+        url = self._URL
+        params: dict | None = {"page_size": self._PAGE_SIZE}
         tags: list[str] = []
         while url:
             response = self._session.get(url, params=params, timeout=30)
@@ -287,9 +282,10 @@ class HttpSvnMirror(SvnMirror):
     THEME_URL = "https://themes.svn.wordpress.org"
 
     _HREF = re.compile(r'href="([^"?]+)"')
+    _MAX_DEPTH = 6
+    _TIMEOUT = 30.0
 
-    def __init__(self, plugin_url: str = PLUGIN_URL, theme_url: str = THEME_URL,
-                 max_depth: int = 6, timeout: float = 30.0, session=None) -> None:
+    def __init__(self, plugin_url: str = PLUGIN_URL, theme_url: str = THEME_URL, session=None) -> None:
         if session is None:
             import requests
 
@@ -297,39 +293,41 @@ class HttpSvnMirror(SvnMirror):
         self._session = session
         self._urls = {ComponentKind.PLUGIN: plugin_url.rstrip("/"),
                       ComponentKind.THEME: theme_url.rstrip("/")}
-        self._max_depth = max_depth
-        self._timeout = timeout
 
     def export(self, kind: ComponentKind, slug: str, version: Version | None, dest: Path) -> str | None:
+        """A 404 on the top listing is a miss; any other failure, a
+        transport error included, raises FetchError."""
         subdir = f"tags/{version}" if version is not None else "trunk"
         base = f"{self._urls[kind]}/{slug}/{subdir}/"
-        response = self._session.get(base, timeout=self._timeout)
-        if response.status_code == 404:
-            return None
         try:
+            response = self._session.get(base, timeout=self._TIMEOUT)
+            if response.status_code == 404:
+                return None
             response.raise_for_status()
-            self._mirror_dir(base, dest, self._max_depth)
+            self._mirror_dir(base, response.text, dest, self._MAX_DEPTH)
         except Exception as exc:
             raise FetchError(f"retrieving {base} failed: {exc}") from exc
         if not dest.is_dir() or not any(dest.iterdir()):
             return None
         return base
 
-    def _mirror_dir(self, url: str, dest: Path, depth: int) -> None:
-        if depth <= 0:
-            return
+    def _mirror_dir(self, url: str, listing: str, dest: Path, depth: int) -> None:
+        """Write the files the listing of url names into dest, and the
+        directories it names, depth - 1 levels further down."""
         dest.mkdir(parents=True, exist_ok=True)
-        listing = self._session.get(url, timeout=self._timeout)
-        listing.raise_for_status()
-        for href in self._HREF.findall(listing.text):
+        for href in self._HREF.findall(listing):
             if href.startswith((".", "/", "http:", "https:")):
                 continue
-            if href.endswith("/"):
-                self._mirror_dir(url + href, dest / href.rstrip("/"), depth - 1)
-            else:
-                content = self._session.get(url + href, timeout=self._timeout)
-                content.raise_for_status()
-                (dest / href).write_bytes(content.content)
+            if not href.endswith("/"):
+                (dest / href).write_bytes(self._get(url + href).content)
+            elif depth > 1:
+                sub = url + href
+                self._mirror_dir(sub, self._get(sub).text, dest / href.rstrip("/"), depth - 1)
+
+    def _get(self, url: str):
+        response = self._session.get(url, timeout=self._TIMEOUT)
+        response.raise_for_status()
+        return response
 
 
 class LinkDownloader(ABC):
@@ -361,19 +359,20 @@ class FixtureLinkDownloader(LinkDownloader):
 class HttpLinkDownloader(LinkDownloader):
     """Link downloader that streams the archive over HTTP."""
 
-    def __init__(self, timeout: float = 60.0, session=None) -> None:
+    _TIMEOUT = 60.0
+
+    def __init__(self, session=None) -> None:
         if session is None:
             import requests
 
             session = requests.Session()
         self._session = session
-        self._timeout = timeout
 
     def fetch(self, url: str, dest: Path) -> bool:
         import tempfile
 
         try:
-            response = self._session.get(url, timeout=self._timeout)
+            response = self._session.get(url, timeout=self._TIMEOUT)
         except Exception as exc:
             raise FetchError(f"downloading {url} failed: {exc}") from exc
         if response.status_code != 200:

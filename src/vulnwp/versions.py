@@ -288,20 +288,20 @@ class NvdCpeDictionary(CpeDictionary):
     """Dictionary backed by the NVD CVE API (network access required)."""
 
     DEFAULT_URL = "https://services.nvd.nist.gov/rest/json/cves/2.0"
+    _TIMEOUT = 30.0
 
-    def __init__(self, base_url: str = DEFAULT_URL, timeout: float = 30.0, session=None) -> None:
+    def __init__(self, base_url: str = DEFAULT_URL, session=None) -> None:
         if session is None:
             import requests
 
             session = requests.Session()
         self._session = session
         self._base_url = base_url
-        self._timeout = timeout
 
     def cpes_for(self, cve_id: str) -> list[str]:
         try:
             response = self._session.get(
-                self._base_url, params={"cveId": cve_id}, timeout=self._timeout
+                self._base_url, params={"cveId": cve_id}, timeout=self._TIMEOUT
             )
             response.raise_for_status()
             payload = response.json()

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
+from dataclasses import replace
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -10,8 +13,9 @@ import yaml
 
 import vulnwp.pipeline
 import vulnwp.reporting
-from vulnwp.bootstrap import SimulatedClock
+from vulnwp.bootstrap import SimulatedClock, SystemClock
 from vulnwp.cli import main
+from vulnwp.config import DatabaseSpec
 from vulnwp.resolvers import DiskSvnMirror
 from vulnwp.titles import ExploitCategory, parse_title
 
@@ -21,6 +25,14 @@ from test_corpus import poc_reads, refuse_reading  # noqa: F401  (poc_reads is a
 
 _DEMO_DIR = Path(__file__).resolve().parent.parent / "data" / "demo"
 DEMO = E2ETree(corpus_dir=_DEMO_DIR / "corpus", fixtures_dir=_DEMO_DIR / "fixtures")
+
+
+STAMP = datetime(2021, 5, 1, tzinfo=timezone.utc)
+
+
+def without_elapsed(row: str) -> str:
+    """An outcome row with its elapsed number cut out."""
+    return re.sub(r'"elapsed": [^,]+, ', "", row)
 
 
 def base_args(e2e_tree, out: Path) -> list[str]:
@@ -69,15 +81,25 @@ class TestGenerateCommand:
             main(base_args(e2e_tree, tmp_path) + ["generate", "--edb-id", "1", "--frobnicate"])
         assert excinfo.value.code == 1
 
-    def test_json_output_is_parseable(self, e2e_tree, tmp_path, capsys):
-        code = main(
-            base_args(e2e_tree, tmp_path / "out") + ["--json", "generate", "--edb-id", "103"]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["status"] == "success"
-        assert payload["image"] == "wordpress:5.0"
-        assert payload["sources"] == ["svn-repo"]
+    def test_json_output_is_the_row_batch_writes(self, e2e_tree, tmp_path, capsys, monkeypatch):
+        """Apart from elapsed, generate --json prints for each record the
+        outcomes.ndjson line batch writes for it. provenance.json takes the
+        clock's time, which is held still so the digests agree."""
+        monkeypatch.setattr(SystemClock, "now", lambda self: STAMP)
+        out = tmp_path / "out"
+        assert main(base_args(e2e_tree, out) + ["batch"]) == 0
+        capsys.readouterr()
+        rows = {}
+        for line in (out / "outcomes.ndjson").read_text(encoding="utf-8").splitlines(keepends=True):
+            row = json.loads(line)
+            rows[row["edb_id"]] = line
+        assert sorted(rows) == sorted(E2E_RECORDS)
+        for edb_id, line in rows.items():
+            code = main(base_args(e2e_tree, out) + ["--json", "generate", "--edb-id", str(edb_id)])
+            printed = capsys.readouterr().out
+            assert code == (0 if json.loads(line)["status"] == "success" else 2)
+            assert printed.count("\n") == 1
+            assert without_elapsed(printed) == without_elapsed(line)
 
     def test_config_override_changes_emitted_port(self, e2e_tree, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -124,6 +146,24 @@ class TestGenerateCommand:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "timing, shown",
+        [
+            ({"probe_interval": True}, "(True, 300.0)"),
+            ({"probe_interval": 0.5, "probe_timeout": True}, "(0.5, True)"),
+        ],
+    )
+    def test_bool_probe_timing_is_refused(self, e2e_tree, tmp_path, capsys, timing, shown):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(timing), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(base_args(e2e_tree, out) + ["--config", str(config), "generate", "--edb-id", "101"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: probe_interval and probe_timeout must be numbers, got {shown}\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "overrides",
@@ -378,33 +418,41 @@ class TestPocsReadAtFirstUse:
 
 class TestComposeValuesYamlMisreads:
     @pytest.mark.parametrize(
-        "database, named",
+        "database",
         [
-            ({"password": "pw #x"}, "password"),
-            # The first field in DatabaseSpec order is named.
-            ({"password": "pw #x", "user": "a: b"}, "user"),
-            ({"user": "a: b"}, "user"),
-            ({"password": "123"}, "password"),
-            ({"root_password": "true"}, "root_password"),
-            ({"name": "~"}, "name"),
-            ({"user": " wordpress"}, "user"),
-            ({"image": "mysql:5.7 #latest"}, "image"),
+            {"password": "pw #x"},
+            {"password": "pw #x", "user": "a: b"},
+            {"user": "a: b"},
+            {"password": "123"},
+            {"root_password": "true"},
+            {"name": "~"},
+            {"user": " wordpress"},
+            {"image": "mysql:5.7 #latest"},
+            {"password": 'say "hi" \\ \U0001f600', "name": "- [x]: {y}"},
         ],
     )
-    def test_value_yaml_would_misread_is_refused(self, tmp_path, capsys, database, named):
+    def test_value_yaml_would_misread_unquoted_reads_back(self, tmp_path, capsys, database):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"database": database}), encoding="utf-8")
         out = tmp_path / "out"
-        code = main(base_args(DEMO, out) + ["--config", str(config), "batch"])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.err == (
-            f"error: database.{named} {database[named]!r} would not read back from the "
-            "compose file as the same string\n"
-        )
-        assert "Traceback" not in captured.err
-        assert captured.out == ""
-        assert not out.exists()
+        assert main(base_args(DEMO, out) + ["--config", str(config), "batch"]) == 0
+        assert capsys.readouterr().err == ""
+        compose = yaml.safe_load((out / "201" / "docker-compose.yml").read_text(encoding="utf-8"))
+        app, db = compose["services"]["app"], compose["services"]["db"]
+        spec = replace(DatabaseSpec(), **database)
+        assert db["image"] == spec.image
+        assert db["environment"] == {
+            "MYSQL_DATABASE": spec.name,
+            "MYSQL_PASSWORD": spec.password,
+            "MYSQL_ROOT_PASSWORD": spec.root_password,
+            "MYSQL_USER": spec.user,
+        }
+        assert app["environment"] == {
+            "WORDPRESS_DB_HOST": "db",
+            "WORDPRESS_DB_NAME": spec.name,
+            "WORDPRESS_DB_PASSWORD": spec.password,
+            "WORDPRESS_DB_USER": spec.user,
+        }
 
     def test_values_yaml_reads_back_pass_and_reach_the_compose_file(self, tmp_path, capsys):
         database = {"password": "pw#x", "user": "a:b", "name": "wp-1.2", "root_password": "x y"}

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import stat
+import tempfile
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -15,7 +16,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vulnwp.config import GeneratorConfig
+from vulnwp.config import DatabaseSpec, GeneratorConfig
 from vulnwp.errors import BundleWriteError
 from vulnwp.pipeline import GenerationOutcome, OutcomeStatus
 from vulnwp.iac import (
@@ -36,6 +37,7 @@ from vulnwp.iac import (
     staging_dir,
     validate_compose_subset,
 )
+from vulnwp.reporting import read_outcomes, write_outcomes
 from vulnwp.resolvers import (
     ComponentKind,
     ComponentSource,
@@ -448,6 +450,16 @@ class TestRenderedFileWrites:
         assert not staging_dir(tmp_path / "failed").exists()
 
 
+# Printable text, characters outside the BMP included, and values a plain
+# YAML scalar would misread: a comment, a key, quotes, a backslash, spaces
+# around the value, a number, a bool and null.
+_printable = st.text(
+    st.characters(whitelist_categories=("L", "M", "N", "P", "S")) | st.just(" "), min_size=1, max_size=12
+) | st.sampled_from(
+    ["pw #x", "a: b", '"', "'", "\\", " wordpress ", "123", "true", "~", "\U0001f600", "- x", "[x]", "{x}", "&a *a !t %x @x `x"]
+)
+
+
 class TestComposeSubset:
     def _emitted(self, tmp_path) -> str:
         emit(plugin_plan(), tmp_path / "bundle")
@@ -506,6 +518,30 @@ class TestComposeSubset:
     def test_rejects_non_mapping_document(self):
         with pytest.raises(ValueError):
             validate_compose_subset("- just\n- a\n- list\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fixed_dictionaries({name: _printable for name in DatabaseSpec.__dataclass_fields__}))
+    def test_every_database_value_reads_back_as_itself(self, values):
+        config = GeneratorConfig(database=DatabaseSpec(**values))
+        title = "WordPress Core < 4.7.1 - Content Injection"
+        plan = build_plan(parse_title(title), IMAGE, [], config, edb_id=500, title=title)
+        with tempfile.TemporaryDirectory() as tmp:
+            emit(plan, Path(tmp) / "bundle")
+            text = (Path(tmp) / "bundle" / "docker-compose.yml").read_text(encoding="utf-8")
+        services = validate_compose_subset(text)["services"]
+        assert services["db"]["image"] == values["image"]
+        assert services["db"]["environment"] == {
+            "MYSQL_DATABASE": values["name"],
+            "MYSQL_PASSWORD": values["password"],
+            "MYSQL_ROOT_PASSWORD": values["root_password"],
+            "MYSQL_USER": values["user"],
+        }
+        assert services["app"]["environment"] == {
+            "WORDPRESS_DB_HOST": "db",
+            "WORDPRESS_DB_NAME": values["name"],
+            "WORDPRESS_DB_PASSWORD": values["password"],
+            "WORDPRESS_DB_USER": values["user"],
+        }
 
 
 def test_app_image_name_is_id_scoped():
@@ -615,8 +651,9 @@ class TestBundleManifest:
         outcome = GenerationOutcome(
             edb_id=7, status=OutcomeStatus.SUCCESS, elapsed=0.0, manifest=emitted
         )
-        row = json.loads(json.dumps(outcome.to_json_dict(), sort_keys=True))
-        read_back = GenerationOutcome.from_json_dict(row).manifest
+        path = tmp_path / "outcomes.ndjson"
+        write_outcomes([outcome], path)
+        [read_back] = [o.manifest for o in read_outcomes(path)]
         assert read_back == emitted
         assert hash(read_back) == hash(emitted)
         paths = [f.path for f in read_back.files]
@@ -626,9 +663,12 @@ class TestBundleManifest:
         emitted = self.emitted(tmp_path)
         row = {"edb_id": 7, "status": "success", "elapsed": 0.0,
                "bundle": {"dir": str(tmp_path / "bundle"), "files": emitted.digest_map()}}
-        read_back = GenerationOutcome.from_json_dict(row).manifest
+        path = tmp_path / "outcomes.ndjson"
+        path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        [read_back] = [o.manifest for o in read_outcomes(path)]
         assert emitted.bundle_dir == tmp_path / "bundle"
-        assert read_back.bundle_dir is row["bundle"]["dir"]
+        assert type(read_back.bundle_dir) is str
+        assert read_back.bundle_dir == row["bundle"]["dir"]
         assert read_back == emitted
 
     def test_changing_the_digest_map_copy_leaves_the_manifest_alone(self):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
@@ -17,7 +16,8 @@ from vulnwp.pipeline import (
     generate,
     resolve_constraint,
 )
-from vulnwp.resolvers import SvnMirror
+from vulnwp.reporting import read_outcomes, run_batch, write_outcomes
+from vulnwp.resolvers import HttpSvnMirror, SvnMirror
 from vulnwp.titles import parse_title
 from vulnwp.versions import FixtureCpeDictionary, Version, VersionConstraint, parse_version_expr
 
@@ -250,6 +250,13 @@ class AdminSvnMirror(SvnMirror):
         return f"admin-fixture/{slug}"
 
 
+class RefusingSession:
+    """A session whose every request fails in transport."""
+
+    def get(self, url, timeout=None):
+        raise ConnectionError(f"connection to {url} refused")
+
+
 class TestStagedEmission:
     def test_miss_that_created_dest_leaves_nothing_under_out_dir(self, e2e_corpus, services):
         services.sources.svn = HollowSvnMirror()
@@ -307,6 +314,14 @@ class TestStagedEmission:
         assert [p.name for p in earlier.iterdir()] == ["Dockerfile"]
         assert (earlier / "Dockerfile").read_text(encoding="utf-8") == "FROM wordpress:5.0\n"
 
+    def test_an_unreachable_svn_server_fails_its_records_and_the_batch_goes_on(self, e2e_corpus, services):
+        services.sources.svn = HttpSvnMirror(session=RefusingSession())
+        outcomes = {o.edb_id: o for o in run_batch(e2e_corpus, services)}
+        assert sorted(outcomes) == sorted(e2e_corpus.records)
+        from_svn = [edb_id for edb_id, expected in E2E_EXPECTED.items() if expected[3] == ("svn-repo",)]
+        assert from_svn
+        assert {outcomes[edb_id].reason for edb_id in from_svn} == {FailureReason.FETCH_FAILURE}
+
     def test_bundle_write_error_keeps_the_earlier_bundle(self, e2e_corpus, services, monkeypatch):
         first = generate(e2e_corpus.records[103], services)
         bundle = services.out_dir / "103"
@@ -348,14 +363,14 @@ class TestOutcomeSerialization:
             "components/quiz-master/admin/menu.php",
             "components/quiz-master/admin-ajax.php",
         ]
-        for outcome in [*outcomes, admin]:
-            rebuilt = GenerationOutcome.from_json_dict(
-                json.loads(json.dumps(outcome.to_json_dict()))
-            )
+        path = tmp_path / "outcomes.ndjson"
+        write_outcomes([*outcomes, admin], path)
+        for outcome, rebuilt in zip([*outcomes, admin], read_outcomes(path), strict=True):
             assert rebuilt.edb_id == outcome.edb_id
             assert rebuilt.status == outcome.status
             assert rebuilt.reason == outcome.reason
             assert rebuilt.image == outcome.image
             assert rebuilt.sources == outcome.sources
             assert rebuilt.unused_app_archive == outcome.unused_app_archive
+            assert rebuilt.manifest == outcome.manifest
             assert rebuilt.manifest == outcome.manifest

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
 import tempfile
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from vulnwp.reporting import (
     parse_report_json,
     read_outcomes,
     render_json,
+    render_row,
     render_text,
     run_batch,
     summarize,
@@ -72,8 +74,28 @@ def outcomes(draw) -> GenerationOutcome:
     )
 
 
+def row_dict(outcome: GenerationOutcome) -> dict:
+    """The row an outcome stands for, as a dict json.dumps can encode."""
+    reason = outcome.reason
+    manifest = outcome.manifest
+    bundle_dir = manifest.bundle_dir if manifest else None
+    return {
+        "edb_id": outcome.edb_id,
+        "status": outcome.status.value,
+        "reason": reason.value if reason else None,
+        "elapsed": outcome.elapsed,
+        "image": outcome.image,
+        "sources": list(outcome.sources),
+        "unused_app_archive": outcome.unused_app_archive,
+        "bundle": {
+            "dir": str(bundle_dir) if isinstance(bundle_dir, PurePath) else bundle_dir,
+            "files": manifest.digest_map(),
+        } if manifest else None,
+    }
+
+
 def encoded(outcome: GenerationOutcome) -> str:
-    return json.dumps(outcome.to_json_dict(), sort_keys=True)
+    return json.dumps(row_dict(outcome), sort_keys=True)
 
 
 class _Id(int):
@@ -86,6 +108,42 @@ class _Number(float):
 
 class _Text(str):
     pass
+
+
+# Values of other types for each field: subclasses and a list of sources,
+# which json.dumps writes and read_outcomes reads back, and values that
+# read_outcomes refuses once json.dumps has written them or that json.dumps
+# cannot write at all.
+_OTHER_LEAVES = {
+    "edb_id": st.sampled_from([_Id(7), True, False, "7", 7.0, None]),
+    "elapsed": st.sampled_from([_Number(0.25), True, False, "0.5", None]),
+    "image": st.sampled_from([_Text("wordpress:5.0"), 7, False, b"wordpress:5.0"]),
+    "unused_app_archive": st.sampled_from([_Text("app.zip"), 7, True, b"app.zip"]),
+    "sources": st.lists(
+        st.sampled_from(["svn-repo", _Text("svn-repo"), 1, None, True, b"svn-repo"]), max_size=2
+    ) | st.lists(st.sampled_from(["svn-repo", _Text("svn-repo")]), max_size=2).map(tuple),
+    "manifest": st.builds(
+        BundleManifest,
+        st.sampled_from(["out/7", Path("out/7"), _Text("out/7"), 7, b"out/7", None]),
+        st.dictionaries(
+            st.sampled_from(["Dockerfile", _Text("a/b")]),
+            st.sampled_from(["ab", _Text("cd"), 1, None, b"ab"]),
+            max_size=2,
+        ),
+    ),
+}
+
+
+@st.composite
+def outcomes_with_other_leaves(draw) -> GenerationOutcome:
+    """An outcome from outcomes(), or one with a field set to a value of another type."""
+    outcome = draw(outcomes())
+    name = draw(st.none() | st.sampled_from(sorted(_OTHER_LEAVES)))
+    if name is None:
+        return outcome
+    return dataclasses.replace(outcome, **{name: draw(_OTHER_LEAVES[name])})
+
+
 
 
 class CountingTagIndex(TagIndex):
@@ -216,13 +274,11 @@ class TestOutcomePersistence:
     @given(st.lists(outcomes(), max_size=6))
     def test_file_matches_per_row_json_dumps_byte_for_byte(self, batch, drawn):
         _, outcomes = batch
-        extra = GenerationOutcome.from_json_dict(
-            {
-                "edb_id": 99,
-                "status": "success",
-                "elapsed": float("nan"),
-                "bundle": {"dir": "/out/ü\u2028\"99", "files": {"z": "1", "a": "é"}},
-            }
+        extra = GenerationOutcome(
+            edb_id=99,
+            status=OutcomeStatus.SUCCESS,
+            elapsed=float("nan"),
+            manifest=BundleManifest("/out/ü\u2028\"99", {"z": "1", "a": "é"}),
         )
         rows = [*outcomes, extra, *drawn]
         with tempfile.TemporaryDirectory() as tmp:
@@ -256,13 +312,38 @@ class TestOutcomePersistence:
             write_outcomes(read_outcomes(first), second)
             assert second.read_bytes() == first.read_bytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(outcomes_with_other_leaves(), max_size=4))
+    def test_write_succeeds_exactly_when_the_reader_reads_the_rows_back(self, rows):
+        """write_outcomes refuses exactly the outcomes whose rows, as
+        json.dumps writes them, read_outcomes refuses (or that json.dumps
+        cannot write); what it writes reads back and writes again byte for
+        byte."""
+        with tempfile.TemporaryDirectory() as tmp:
+            dumped, written, again = (Path(tmp) / name for name in ("dumped", "written", "again"))
+            try:
+                dumped.write_text("".join(encoded(o) + "\n" for o in rows), encoding="utf-8")
+                read_outcomes(dumped)
+            except (TypeError, VulnwpError):
+                readable = False
+            else:
+                readable = True
+            try:
+                write_outcomes(rows, written)
+            except TypeError:
+                assert not readable
+                assert not written.exists()
+                return
+            assert readable
+            assert written.read_bytes() == dumped.read_bytes()
+            write_outcomes(read_outcomes(written), again)
+            assert again.read_bytes() == written.read_bytes()
+
     @pytest.mark.parametrize(
         "fields",
         [
-            {"edb_id": True},
             {"edb_id": _Id(7)},
             {"elapsed": _Number(0.25)},
-            {"elapsed": False},
             {"image": _Text("wordpress:5.0")},
             {"unused_app_archive": _Text("app.zip")},
             {"sources": ["svn-repo", "software-link"]},
@@ -283,10 +364,39 @@ class TestOutcomePersistence:
         path = tmp_path / "outcomes.ndjson"
         write_outcomes(outcomes, path)
         before = path.read_bytes()
-        with pytest.raises(TypeError, match="bytes is not JSON serializable"):
+        with pytest.raises(TypeError, match="^image must be a string or null, not bytes$"):
             write_outcomes([outcomes[0], bad], path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["outcomes.ndjson"]
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"edb_id": True}, "edb_id must be an integer, not bool"),
+            ({"edb_id": "7"}, "edb_id must be an integer, not str"),
+            ({"elapsed": False}, "elapsed must be a number, not bool"),
+            ({"elapsed": None}, "elapsed must be a number, not NoneType"),
+            ({"status": "success"}, "status must be an OutcomeStatus, not str"),
+            ({"image": b"wordpress:5.0"}, "image must be a string or null, not bytes"),
+            ({"unused_app_archive": 7}, "unused_app_archive must be a string or null, not int"),
+            ({"sources": "svn-repo"}, "sources must be a list of strings, not str"),
+            ({"sources": ("svn-repo", None)}, "sources must be a list of strings, not tuple"),
+            ({"manifest": {"dir": "out/7", "files": {}}}, "manifest must be a BundleManifest or null, not dict"),
+            ({"manifest": BundleManifest(b"out/7", {})}, "bundle dir must be a string or a path, not bytes"),
+            ({"manifest": BundleManifest("out/7", {"Dockerfile": None})}, "bundle files must map strings to strings"),
+            # json.dumps would write the key as "1", which reads back as another map.
+            ({"manifest": BundleManifest("out/7", {1: "ab"})}, "bundle files must map strings to strings"),
+            ({"manifest": BundleManifest("out/7", {1: "ab", "a": "cd"})}, "bundle files must map strings to strings"),
+        ],
+    )
+    def test_a_value_the_reader_would_refuse_is_refused_naming_its_field(self, tmp_path, fields, message):
+        outcome = GenerationOutcome(**{"edb_id": 7, "status": OutcomeStatus.SUCCESS, "elapsed": 0.5, **fields})
+        with pytest.raises(TypeError) as excinfo:
+            render_row(outcome)
+        assert str(excinfo.value) == message
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            write_outcomes([outcome], tmp_path / "outcomes.ndjson")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReadingOtherRows:

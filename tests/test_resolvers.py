@@ -15,6 +15,7 @@ from vulnwp.resolvers import (
     DiskSvnMirror,
     FixtureLinkDownloader,
     FixtureTagIndex,
+    HttpSvnMirror,
     SourceClients,
     SourceKind,
     derive_slug,
@@ -268,6 +269,78 @@ class TestDiskSvnMirror:
         (tmp_path / "themes").mkdir()
         mirror = DiskSvnMirror(tmp_path / "plugins", tmp_path / "themes")
         assert mirror.export(ComponentKind.PLUGIN, "hollow", ver("1.0"), tmp_path / "out") is None
+
+
+class FakeResponse:
+    def __init__(self, status_code: int, content: bytes = b"") -> None:
+        self.status_code = status_code
+        self.content = content
+        self.text = content.decode("utf-8")
+
+    def raise_for_status(self) -> None:
+        if self.status_code >= 400:
+            raise RuntimeError(f"HTTP {self.status_code}")
+
+
+class FakeSvnSession:
+    """Serves Apache-style listings and files from a URL map; any other URL
+    answers 404, and a URL in refuse raises a transport error."""
+
+    def __init__(self, pages: dict[str, str | bytes], refuse: tuple[str, ...] = ()) -> None:
+        self.pages = pages
+        self.refuse = refuse
+        self.requests: list[str] = []
+
+    def get(self, url: str, timeout: float | None = None) -> FakeResponse:
+        self.requests.append(url)
+        if url in self.refuse:
+            raise ConnectionError(f"connection to {url} refused")
+        page = self.pages.get(url)
+        if page is None:
+            return FakeResponse(404)
+        return FakeResponse(200, page.encode("utf-8") if isinstance(page, str) else page)
+
+
+def listing(*hrefs: str) -> str:
+    return "".join(f'<li><a href="{href}">{href}</a></li>' for href in ("../", *hrefs))
+
+
+SVN_TAG = f"{HttpSvnMirror.PLUGIN_URL}/gallery/tags/1.2/"
+
+
+class TestHttpSvnMirror:
+    def test_a_one_file_tag_takes_one_listing_and_one_file_request(self, tmp_path):
+        session = FakeSvnSession({SVN_TAG: listing("gallery.php"), f"{SVN_TAG}gallery.php": b"<?php\n"})
+        dest = tmp_path / "out"
+        assert HttpSvnMirror(session=session).export(ComponentKind.PLUGIN, "gallery", ver("1.2"), dest) == SVN_TAG
+        assert session.requests == [SVN_TAG, f"{SVN_TAG}gallery.php"]
+        assert (dest / "gallery.php").read_bytes() == b"<?php\n"
+
+    def test_each_directory_is_listed_once(self, tmp_path):
+        session = FakeSvnSession({
+            SVN_TAG: listing("inc/", "gallery.php"),
+            f"{SVN_TAG}inc/": listing("db.php"),
+            f"{SVN_TAG}inc/db.php": b"db",
+            f"{SVN_TAG}gallery.php": b"main",
+        })
+        dest = tmp_path / "out"
+        HttpSvnMirror(session=session).export(ComponentKind.PLUGIN, "gallery", ver("1.2"), dest)
+        assert sorted(session.requests) == sorted(session.pages)
+        assert (dest / "inc" / "db.php").read_bytes() == b"db"
+        assert (dest / "gallery.php").read_bytes() == b"main"
+
+    def test_a_missing_tag_is_a_miss(self, tmp_path):
+        session = FakeSvnSession({})
+        dest = tmp_path / "out"
+        assert HttpSvnMirror(session=session).export(ComponentKind.PLUGIN, "gallery", ver("1.2"), dest) is None
+        assert session.requests == [SVN_TAG]
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("refused", [SVN_TAG, f"{SVN_TAG}gallery.php"])
+    def test_a_transport_error_is_a_fetch_error(self, tmp_path, refused):
+        session = FakeSvnSession({SVN_TAG: listing("gallery.php"), f"{SVN_TAG}gallery.php": b"x"}, (refused,))
+        with pytest.raises(FetchError, match=f"retrieving {SVN_TAG} failed: connection to {refused} refused"):
+            HttpSvnMirror(session=session).export(ComponentKind.PLUGIN, "gallery", ver("1.2"), tmp_path / "out")
 
 
 class TestExtractArchive:
