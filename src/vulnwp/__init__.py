@@ -8,7 +8,7 @@ produces coverage statistics over a whole corpus.
 
 from .config import DatabaseSpec, GeneratorConfig, SiteSpec
 from .corpus import Corpus, ExploitRecord, load_corpus, parse_poc_header
-from .iac import EnvironmentPlan, SetupStep, build_plan, emit_bundle
+from .iac import EnvironmentPlan, build_plan, emit_bundle
 from .pipeline import (
     FailureReason,
     GenerationMode,
@@ -58,7 +58,6 @@ __all__ = [
     "ImageRef",
     "ParsedTitle",
     "PipelineServices",
-    "SetupStep",
     "SiteSpec",
     "SourceClients",
     "Version",

@@ -3,15 +3,19 @@
 bring_up does it in one pass from the bundle directory: build the image
 `vulnwp-<id>`, start the Compose project of the same name, poll the
 installer page every ten seconds until it answers 200 (or a timeout
-expires), then run the plan's setup steps in the `app` service one by
-one, stopping at the first failure. The command executor, the clock and
-the HTTP prober are injected so the whole sequence can be tested without
-a container runtime and on simulated time.
+expires), then run each of iac.setup_commands(plan), the lines of the
+bundle's setup.sh, as `compose -p vulnwp-<id> exec -T app <argv>`. The
+first command that exits non-zero, build and start included, stops the
+run with SetupStepFailedError("docker <command> exited <status>: <last
+output line>"). The command executor, the clock and the HTTP prober are
+injected so the whole sequence can be tested without a container runtime
+and on simulated time.
 """
 
 from __future__ import annotations
 
 import logging
+import shlex
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -20,7 +24,7 @@ from pathlib import Path
 
 from .config import GeneratorConfig
 from .errors import BootstrapTimeoutError, SetupStepFailedError
-from .iac import APP_SERVICE, EnvironmentPlan, SetupStep, app_image_name, render_step_argv
+from .iac import APP_SERVICE, EnvironmentPlan, app_image_name, setup_commands
 
 logger = logging.getLogger(__name__)
 
@@ -34,9 +38,6 @@ __all__ = [
     "wait_ready",
     "CommandExecutor",
     "DockerExecutor",
-    "StepResult",
-    "SetupReport",
-    "run_setup",
     "bring_up",
 ]
 
@@ -176,66 +177,27 @@ class DockerExecutor(CommandExecutor):
         return completed.returncode, completed.stdout + completed.stderr
 
 
-@dataclass(frozen=True)
-class StepResult:
-    step: SetupStep
-    ok: bool
-    output: str
-
-
-@dataclass(frozen=True)
-class SetupReport:
-    """Each attempted step with its status, in execution order."""
-
-    results: tuple[StepResult, ...]
-
-    @property
-    def succeeded(self) -> bool:
-        return all(r.ok for r in self.results)
-
-
-def run_setup(plan: EnvironmentPlan, executor: CommandExecutor, bundle_dir: Path) -> SetupReport:
-    """Run the plan's setup steps in order, stopping at the first failure.
-
-    Each step runs as `compose -p vulnwp-<id> exec -T app <argv>`, so
-    Compose finds the service's container whatever it named it. Returns
-    the full report when every step exits zero. On a failure the partial
-    report (failed step included) travels on the raised
-    SetupStepFailedError.
-    """
-    exec_prefix = ["compose", "-p", app_image_name(plan.edb_id), "exec", "-T", APP_SERVICE]
-    results: list[StepResult] = []
-    for step in plan.setup_steps:
-        status, output = executor.run(exec_prefix + render_step_argv(step, plan), bundle_dir)
-        result = StepResult(step=step, ok=status == 0, output=output)
-        results.append(result)
-        if not result.ok:
-            logger.warning("setup step %s failed with status %s", step.kind.value, status)
-            raise SetupStepFailedError(
-                f"step {step.kind.value} exited {status}",
-                step=step,
-                report=SetupReport(results=tuple(results)),
-            )
-    return SetupReport(results=tuple(results))
-
-
 def bring_up(plan: EnvironmentPlan, bundle_dir: Path, executor: CommandExecutor,
-             readiness: ReadinessClient, clock: Clock, config: GeneratorConfig) -> SetupReport:
+             readiness: ReadinessClient, clock: Clock, config: GeneratorConfig) -> None:
     """Build, start, probe and configure one emitted bundle, in that order.
 
-    A failing build or `compose up` raises SetupStepFailedError with no
-    step and an empty report; a probe timeout raises
-    BootstrapTimeoutError; a failing setup step raises as run_setup does.
+    Every command runs from bundle_dir; a probe timeout raises
+    BootstrapTimeoutError, and the first command that exits non-zero
+    raises SetupStepFailedError and runs nothing after it.
     """
     name = app_image_name(plan.edb_id)
-    for argv in (["build", "-t", name, "."], ["compose", "-p", name, "up", "-d"]):
-        status, output = executor.run(argv, bundle_dir)
-        if status != 0:
-            last_line = output.strip().rpartition("\n")[2]
-            raise SetupStepFailedError(
-                f"docker {' '.join(argv)} exited {status}: {last_line}",
-                step=None,
-                report=SetupReport(results=()),
-            )
+    _run(executor, ["build", "-t", name, "."], bundle_dir)
+    _run(executor, ["compose", "-p", name, "up", "-d"], bundle_dir)
     wait_ready(ReadinessProbe.for_plan(plan, config), readiness, clock)
-    return run_setup(plan, executor, bundle_dir)
+    exec_prefix = ["compose", "-p", name, "exec", "-T", APP_SERVICE]
+    for argv in setup_commands(plan):
+        _run(executor, exec_prefix + argv, bundle_dir)
+
+
+def _run(executor: CommandExecutor, argv: list[str], cwd: Path) -> None:
+    """Run one docker command; a non-zero status raises SetupStepFailedError
+    naming the command, the status and the last line of its output."""
+    status, output = executor.run(argv, cwd)
+    if status != 0:
+        last_line = output.strip().rpartition("\n")[2]
+        raise SetupStepFailedError(f"docker {shlex.join(argv)} exited {status}: {last_line}")

@@ -45,7 +45,8 @@ class UnknownCveError(VulnwpError):
 
 
 class NoImageError(VulnwpError):
-    """No registry tag satisfies the version constraint at or above the floor."""
+    """No registry tag satisfies the version constraint at or above the floor,
+    or the registry's tag listing failed."""
 
 
 class EmptySlugError(VulnwpError):
@@ -78,12 +79,7 @@ class BootstrapTimeoutError(VulnwpError):
 
 
 class SetupStepFailedError(VulnwpError):
-    """A setup step exited non-zero; carries the partial report."""
-
-    def __init__(self, message: str, step, report) -> None:
-        super().__init__(message)
-        self.step = step
-        self.report = report
+    """A docker command of the bootstrap (build, start or setup) exited non-zero."""
 
 
 class UnknownRecordError(VulnwpError):

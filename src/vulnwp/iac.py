@@ -5,8 +5,11 @@ component payloads under components/<slug>:
 
   Dockerfile          image build: FROM the resolved base, COPY components
   docker-compose.yml  two services (app, db) under a strict key subset
-  setup.sh            post-boot site configuration, one command per step
+  setup.sh            post-boot site configuration: setup_commands(plan), one per line
   provenance.json     where everything came from, stable key order
+
+setup_commands computes the setup commands from the plan's components;
+bootstrap runs the same list in the app container.
 
 A bundle is built in a staging directory beside it, <out>/.<name>.partial,
 and renamed into place whole, replacing any earlier bundle of the same
@@ -40,7 +43,6 @@ import shlex
 import shutil
 from dataclasses import dataclass
 from datetime import datetime
-from enum import Enum
 from pathlib import Path
 
 import yaml
@@ -51,16 +53,13 @@ from .resolvers import ComponentKind, FetchedComponent, ImageRef
 from .titles import ParsedTitle
 
 __all__ = [
-    "StepKind",
-    "SetupStep",
     "EnvironmentPlan",
     "BundleManifest",
     "build_plan",
     "stage_bundle",
     "discard_staging",
     "emit_bundle",
-    "render_step_argv",
-    "render_step_line",
+    "setup_commands",
     "app_image_name",
     "validate_compose_subset",
     "provenance_schema",
@@ -74,32 +73,6 @@ DB_SERVICE = "db"
 _EXTENSION_DIRS = {ComponentKind.PLUGIN: "plugins", ComponentKind.THEME: "themes"}
 
 
-class StepKind(Enum):
-    INSTALL_CORE = "install-core"
-    CREATE_ADMIN = "create-admin"
-    COPY_COMPONENT = "copy-component"
-    ACTIVATE_PLUGIN = "activate-plugin"
-    ACTIVATE_THEME = "activate-theme"
-
-
-_SLUG_STEPS = {StepKind.COPY_COMPONENT, StepKind.ACTIVATE_PLUGIN, StepKind.ACTIVATE_THEME}
-_ACTIVATE_STEPS = {StepKind.ACTIVATE_PLUGIN, StepKind.ACTIVATE_THEME}
-
-
-@dataclass(frozen=True)
-class SetupStep:
-    """One post-boot configuration action."""
-
-    kind: StepKind
-    slug: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind in _SLUG_STEPS and not self.slug:
-            raise ValueError(f"{self.kind.value} needs a slug")
-        if self.kind not in _SLUG_STEPS and self.slug is not None:
-            raise ValueError(f"{self.kind.value} takes no slug")
-
-
 @dataclass(frozen=True)
 class EnvironmentPlan:
     """Everything needed to emit one reproducible environment."""
@@ -110,43 +83,17 @@ class EnvironmentPlan:
     components: tuple[FetchedComponent, ...]
     database: DatabaseSpec
     site: SiteSpec
-    setup_steps: tuple[SetupStep, ...]
     docroot: str
     unused_app_archive: str | None = None
 
     def __post_init__(self) -> None:
-        slugs = [c.slug for c in self.components]
-        if len(slugs) != len(set(slugs)):
+        # A component is staged and installed under its slug, so two with
+        # one slug would share a payload directory and a target path.
+        if len({c.slug for c in self.components}) != len(self.components):
             raise ValueError("component slugs must be unique within a plan")
-        self._check_step_order()
-        step_slugs = {s.slug for s in self.setup_steps if s.slug}
-        if not step_slugs.issubset(set(slugs)):
-            raise ValueError("setup steps reference slugs outside the plan's components")
-
-    def _check_step_order(self) -> None:
-        kinds = [s.kind for s in self.setup_steps]
-        if kinds.count(StepKind.INSTALL_CORE) != 1 or kinds.count(StepKind.CREATE_ADMIN) != 1:
-            raise ValueError("a plan has exactly one install step and one admin step")
-        install = kinds.index(StepKind.INSTALL_CORE)
-        admin = kinds.index(StepKind.CREATE_ADMIN)
-        first_activate = min(
-            (i for i, k in enumerate(kinds) if k in _ACTIVATE_STEPS), default=len(kinds)
-        )
-        if not (install < admin < first_activate):
-            raise ValueError("steps must run install, then admin, then activations")
-        copies: dict[str, int] = {}
-        for i, step in enumerate(self.setup_steps):
-            if step.kind is StepKind.COPY_COMPONENT:
-                copies[step.slug] = i
-            elif step.kind in _ACTIVATE_STEPS:
-                if copies.get(step.slug, len(kinds)) > i:
-                    raise ValueError(f"activation of {step.slug} precedes its copy step")
-
-    def extension_dir(self, kind: ComponentKind) -> str:
-        return f"{self.docroot}/wp-content/{_EXTENSION_DIRS[kind]}"
 
     def component_target(self, component: FetchedComponent) -> str:
-        return f"{self.extension_dir(component.kind)}/{component.slug}"
+        return f"{self.docroot}/wp-content/{_EXTENSION_DIRS[component.kind]}/{component.slug}"
 
 
 @dataclass(frozen=True)
@@ -209,22 +156,7 @@ def build_plan(
     title: str,
     unused_app_archive: str | None = None,
 ) -> EnvironmentPlan:
-    """Assemble the environment plan for one resolved exploit.
-
-    Steps always open with the core install and the admin account; each
-    component then contributes a copy check and its activation, in the
-    order the components were resolved.
-    """
-    steps: list[SetupStep] = [
-        SetupStep(StepKind.INSTALL_CORE),
-        SetupStep(StepKind.CREATE_ADMIN),
-    ]
-    for component in components:
-        steps.append(SetupStep(StepKind.COPY_COMPONENT, component.slug))
-        if component.kind is ComponentKind.PLUGIN:
-            steps.append(SetupStep(StepKind.ACTIVATE_PLUGIN, component.slug))
-        else:
-            steps.append(SetupStep(StepKind.ACTIVATE_THEME, component.slug))
+    """Assemble the environment plan for one resolved exploit."""
     return EnvironmentPlan(
         edb_id=edb_id,
         title=title,
@@ -232,18 +164,23 @@ def build_plan(
         components=tuple(components),
         database=config.database,
         site=config.site,
-        setup_steps=tuple(steps),
         docroot=config.docroot,
         unused_app_archive=unused_app_archive,
     )
 
 
-def render_step_argv(step: SetupStep, plan: EnvironmentPlan) -> list[str]:
-    """Render one setup step as the argv to run inside the app container."""
+def setup_commands(plan: EnvironmentPlan) -> list[list[str]]:
+    """The post-boot commands for a plan, each an argv to run in the app container.
+
+    The core install under the owner account and the scenario's admin
+    account come first; then each component, in the order it was
+    resolved, gets a check that its payload is in place and its
+    activation.
+    """
     wp = ["wp", "--allow-root", f"--path={plan.docroot}"]
     site = plan.site
-    if step.kind is StepKind.INSTALL_CORE:
-        return wp + [
+    commands = [
+        wp + [
             "core",
             "install",
             f"--url={site.url}",
@@ -252,33 +189,21 @@ def render_step_argv(step: SetupStep, plan: EnvironmentPlan) -> list[str]:
             f"--admin_password={site.owner_password}",
             f"--admin_email={site.owner_email}",
             "--skip-email",
-        ]
-    if step.kind is StepKind.CREATE_ADMIN:
-        return wp + [
+        ],
+        wp + [
             "user",
             "create",
             site.admin_user,
             site.admin_email,
             "--role=administrator",
             f"--user_pass={site.admin_password}",
-        ]
-    if step.kind is StepKind.COPY_COMPONENT:
-        component = _component_by_slug(plan, step.slug)
-        return ["test", "-e", plan.component_target(component)]
-    if step.kind is StepKind.ACTIVATE_PLUGIN:
-        return wp + ["plugin", "activate", step.slug]
-    return wp + ["theme", "activate", step.slug]
-
-
-def render_step_line(step: SetupStep, plan: EnvironmentPlan) -> str:
-    return shlex.join(render_step_argv(step, plan))
-
-
-def _component_by_slug(plan: EnvironmentPlan, slug: str | None) -> FetchedComponent:
+        ],
+    ]
     for component in plan.components:
-        if component.slug == slug:
-            return component
-    raise ValueError(f"no component with slug {slug!r} in plan")
+        # ComponentKind's value ("plugin", "theme") is also the wp subcommand.
+        commands.append(["test", "-e", plan.component_target(component)])
+        commands.append(wp + [component.kind.value, "activate", component.slug])
+    return commands
 
 
 def _render_dockerfile(plan: EnvironmentPlan) -> str:
@@ -327,7 +252,7 @@ def _render_setup_script(plan: EnvironmentPlan) -> str:
         "# Post-boot site configuration. Run inside the application container.",
         "set -e",
     ]
-    lines.extend(render_step_line(step, plan) for step in plan.setup_steps)
+    lines.extend(map(shlex.join, setup_commands(plan)))
     return "\n".join(lines) + "\n"
 
 
@@ -437,11 +362,12 @@ def emit_bundle(
     staging = staging_dir(bundle_dir)
     planned = sorted(c.slug for c in plan.components)
 
+    dockerfile, compose, setup, provenance = BUNDLE_FILES
     rendered = {
-        "Dockerfile": _render_dockerfile(plan),
-        "docker-compose.yml": _render_compose(plan),
-        "setup.sh": _render_setup_script(plan),
-        "provenance.json": _render_provenance(plan, generated_at),
+        dockerfile: _render_dockerfile(plan),
+        compose: _render_compose(plan),
+        setup: _render_setup_script(plan),
+        provenance: _render_provenance(plan, generated_at),
     }
     digests = {}
     try:
@@ -453,7 +379,7 @@ def emit_bundle(
             )
         for name, text in rendered.items():
             data = text.encode("utf-8")
-            _write_file(os.path.join(staging, name), data, executable=name == "setup.sh")
+            _write_file(os.path.join(staging, name), data, executable=name == setup)
             digests[name] = hashlib.sha256(data).hexdigest()
         if planned:
             digests.update(_hash_payloads(staging))

@@ -246,7 +246,8 @@ def generate(
             return failure(FailureReason.UNKNOWN_VERSION, unused_archive=archive_name)
         try:
             image = find_core_image(constraint, services.registry)
-        except NoImageError:
+        except NoImageError as exc:
+            logger.info("no image for exploit %s: %s", record.edb_id, exc)
             return failure(FailureReason.NO_IMAGE, unused_archive=archive_name)
         slugs: tuple[str, ...] = ()
         unused_archive = archive_name
@@ -255,7 +256,8 @@ def generate(
             return failure(FailureReason.NO_VULNERABLE_APPLICATION)
         try:
             image = find_latest_image(services.registry)
-        except NoImageError:
+        except NoImageError as exc:
+            logger.info("no image for exploit %s: %s", record.edb_id, exc)
             return failure(FailureReason.NO_IMAGE)
         try:
             slugs = (derive_slug(parsed.product or ""),)

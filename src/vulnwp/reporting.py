@@ -40,7 +40,6 @@ __all__ = [
     "summarize",
     "render_text",
     "render_json",
-    "parse_report_json",
     "render_row",
     "write_outcomes",
     "read_outcomes",
@@ -183,25 +182,6 @@ def render_json(report: BatchReport) -> str:
         "by_reason": report.by_reason,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def parse_report_json(text: str) -> BatchReport:
-    payload = json.loads(text)
-    return BatchReport(
-        total=payload["total"],
-        successes=payload["successes"],
-        rate=payload["rate"],
-        by_year={
-            int(year): YearStats(
-                submitted=stats["submitted"],
-                generated=stats["generated"],
-                failed_by_reason=dict(stats["failed_by_reason"]),
-            )
-            for year, stats in payload["by_year"].items()
-        },
-        by_source=dict(payload["by_source"]),
-        by_reason=dict(payload["by_reason"]),
-    )
 
 
 _ROW_DECODER = json.JSONDecoder()

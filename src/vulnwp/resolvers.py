@@ -163,16 +163,21 @@ class DockerHubTagIndex(TagIndex):
         self._session = session
 
     def list_tags(self) -> list[str]:
+        """Every tag over all pages; any failure, a transport error, an HTTP
+        error or a page that is not the expected JSON, raises NoImageError."""
         url = self._URL
         params: dict | None = {"page_size": self._PAGE_SIZE}
         tags: list[str] = []
-        while url:
-            response = self._session.get(url, params=params, timeout=30)
-            response.raise_for_status()
-            payload = response.json()
-            tags.extend(item["name"] for item in payload.get("results", []))
-            url = payload.get("next")
-            params = None
+        try:
+            while url:
+                response = self._session.get(url, params=params, timeout=30)
+                response.raise_for_status()
+                payload = response.json()
+                tags.extend(item["name"] for item in payload.get("results", []))
+                url = payload.get("next")
+                params = None
+        except Exception as exc:
+            raise NoImageError(f"listing {url} failed: {exc}") from exc
         return tags
 
 

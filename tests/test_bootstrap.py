@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,12 +14,11 @@ from vulnwp.bootstrap import (
     ReadinessProbe,
     SimulatedClock,
     bring_up,
-    run_setup,
     wait_ready,
 )
 from vulnwp.config import GeneratorConfig
 from vulnwp.errors import BootstrapTimeoutError, SetupStepFailedError
-from vulnwp.iac import StepKind
+from vulnwp.iac import setup_commands
 
 from test_iac import core_plan, plugin_plan
 
@@ -136,7 +136,7 @@ class RecordingExecutor:
     """Records each (argv, cwd); a command carrying the fail_on token exits 1.
 
     "build" and "up" fail the image build and the stack start; "test" fails
-    the copy-component check.
+    the check that a component's payload is in place.
     """
 
     def __init__(self, fail_on: str | None = None):
@@ -148,28 +148,6 @@ class RecordingExecutor:
         if self.fail_on is not None and self.fail_on in argv:
             return 1, "boom"
         return 0, "ok"
-
-
-class TestRunSetup:
-    def test_all_steps_run_in_order(self, tmp_path):
-        plan = plugin_plan()
-        executor = RecordingExecutor()
-        report = run_setup(plan, executor, tmp_path)
-        assert report.succeeded
-        assert len(report.results) == len(plan.setup_steps)
-        assert all(argv[:6] == EXEC_PREFIX and cwd == tmp_path for argv, cwd in executor.calls)
-        assert executor.calls[0][0][6:8] == ("wp", "--allow-root")
-
-    def test_failure_stops_the_run_and_carries_a_partial_report(self, tmp_path):
-        plan = plugin_plan()
-        executor = RecordingExecutor(fail_on="test")
-        with pytest.raises(SetupStepFailedError) as excinfo:
-            run_setup(plan, executor, tmp_path)
-        report = excinfo.value.report
-        assert excinfo.value.step.kind is StepKind.COPY_COMPONENT
-        assert len(report.results) == 3
-        assert [r.ok for r in report.results] == [True, True, False]
-        assert len(executor.calls) == 3
 
 
 class OrderedClient(ScriptedClient):
@@ -194,11 +172,11 @@ class TestBringUp:
         return bring_up(self.plan, tmp_path, self.executor, self.client, clock, GeneratorConfig())
 
     def test_builds_starts_probes_then_configures(self, tmp_path):
-        assert self.bring_up(tmp_path, ready_at=25.0).succeeded
+        assert self.bring_up(tmp_path, ready_at=25.0) is None
         argvs = [argv for argv, _ in self.executor.calls]
         assert argvs[0] == ("build", "-t", "vulnwp-501", ".")
         assert argvs[1] == ("compose", "-p", "vulnwp-501", "up", "-d")
-        assert [argv[:6] for argv in argvs[2:]] == [EXEC_PREFIX] * len(self.plan.setup_steps)
+        assert argvs[2:] == [EXEC_PREFIX + tuple(argv) for argv in setup_commands(self.plan)]
         assert all(cwd == tmp_path for _, cwd in self.executor.calls)
         assert self.client.calls == [0.0, 10.0, 20.0, 30.0]
         assert self.client.commands_seen == [2, 2, 2, 2]
@@ -207,11 +185,55 @@ class TestBringUp:
     def test_failed_build_or_up_stops_before_the_probe(self, tmp_path, fail_on, commands):
         with pytest.raises(SetupStepFailedError) as excinfo:
             self.bring_up(tmp_path, fail_on=fail_on)
-        assert excinfo.value.step is None
-        assert excinfo.value.report.results == ()
-        assert "boom" in str(excinfo.value)
+        assert str(excinfo.value) == {
+            "build": "docker build -t vulnwp-501 . exited 1: boom",
+            "up": "docker compose -p vulnwp-501 up -d exited 1: boom",
+        }[fail_on]
         assert len(self.executor.calls) == commands
         assert self.client.calls == []
+
+    def test_every_executor_call_for_a_plugin_plan(self, tmp_path):
+        self.bring_up(tmp_path)
+        wp = ("wp", "--allow-root", "--path=/var/www/html")
+        assert self.executor.calls == [
+            (("build", "-t", "vulnwp-501", "."), tmp_path),
+            (("compose", "-p", "vulnwp-501", "up", "-d"), tmp_path),
+            (EXEC_PREFIX + wp + (
+                "core", "install", "--url=http://localhost:8080", "--title=edb-501",
+                "--admin_user=sysop", "--admin_password=sysop-install-pw",
+                "--admin_email=sysop@example.test", "--skip-email",
+            ), tmp_path),
+            (EXEC_PREFIX + wp + (
+                "user", "create", "admin", "admin@example.test", "--role=administrator",
+                "--user_pass=password123",
+            ), tmp_path),
+            (EXEC_PREFIX + ("test", "-e", "/var/www/html/wp-content/plugins/sample"), tmp_path),
+            (EXEC_PREFIX + wp + ("plugin", "activate", "sample"), tmp_path),
+        ]
+
+    def test_failing_setup_command_stops_the_run_there(self, tmp_path):
+        with pytest.raises(SetupStepFailedError) as excinfo:
+            self.bring_up(tmp_path, fail_on="test")
+        argvs = [argv for argv, _ in self.executor.calls]
+        assert len(argvs) == 5
+        assert argvs[-1] == EXEC_PREFIX + ("test", "-e", "/var/www/html/wp-content/plugins/sample")
+        assert str(excinfo.value) == (
+            "docker compose -p vulnwp-501 exec -T app test -e /var/www/html/wp-content/plugins/sample"
+            " exited 1: boom"
+        )
+
+    def test_failure_names_the_last_output_line_and_quotes_the_command(self, tmp_path):
+        class Failing(RecordingExecutor):
+            def run(self, argv, cwd):
+                super().run(argv, cwd)
+                return (2, "line one\nno such plugin\n") if "activate" in argv else (0, "")
+
+        plan = plugin_plan()
+        plan = replace(plan, components=(replace(plan.components[0], slug="a b"),))
+        clock = SimulatedClock()
+        with pytest.raises(SetupStepFailedError) as excinfo:
+            bring_up(plan, tmp_path, Failing(), ScriptedClient(clock, 0.0), clock, GeneratorConfig())
+        assert str(excinfo.value).endswith("plugin activate 'a b' exited 2: no such plugin")
 
     def test_probe_timeout_runs_no_setup_step(self, tmp_path):
         with pytest.raises(BootstrapTimeoutError):

@@ -4,6 +4,7 @@ import errno
 import hashlib
 import json
 import os
+import shlex
 import stat
 import tempfile
 from dataclasses import replace
@@ -24,15 +25,12 @@ from vulnwp.iac import (
     BundleManifest,
     EnvironmentPlan,
     FileDigest,
-    SetupStep,
-    StepKind,
     app_image_name,
     build_plan,
     _render_provenance,
     emit_bundle,
     provenance_schema,
-    render_step_argv,
-    render_step_line,
+    setup_commands,
     stage_bundle,
     staging_dir,
     validate_compose_subset,
@@ -92,37 +90,50 @@ def plugin_plan(edb_id: int = 501) -> EnvironmentPlan:
     return build_plan(parse_title(title), IMAGE, [component], CONFIG, edb_id=edb_id, title=title)
 
 
+def theme_plan(edb_id: int = 502) -> EnvironmentPlan:
+    title = "WordPress Theme Clean Portfolio 1.4 - Arbitrary File Upload"
+    component = make_component("clean-portfolio", kind=ComponentKind.THEME)
+    return build_plan(parse_title(title), IMAGE, [component], CONFIG, edb_id=edb_id, title=title)
+
+
+WP = ["wp", "--allow-root", "--path=/var/www/html"]
+
+
 class TestBuildPlan:
     def test_core_plan_has_no_components(self):
         plan = core_plan()
         assert plan.components == ()
-        assert [s.kind for s in plan.setup_steps] == [
-            StepKind.INSTALL_CORE,
-            StepKind.CREATE_ADMIN,
+        assert [argv[3:5] for argv in setup_commands(plan)] == [["core", "install"], ["user", "create"]]
+
+    def test_plugin_plan_copies_then_activates(self):
+        commands = setup_commands(plugin_plan())
+        assert [argv[3:5] for argv in commands[:2]] == [["core", "install"], ["user", "create"]]
+        assert commands[2:] == [
+            ["test", "-e", "/var/www/html/wp-content/plugins/sample"],
+            WP + ["plugin", "activate", "sample"],
         ]
 
-    def test_plugin_plan_copies_then_activates(self, tmp_path):
-        plan = plugin_plan()
-        assert [s.kind for s in plan.setup_steps] == [
-            StepKind.INSTALL_CORE,
-            StepKind.CREATE_ADMIN,
-            StepKind.COPY_COMPONENT,
-            StepKind.ACTIVATE_PLUGIN,
-        ]
-        assert plan.setup_steps[2].slug == "sample"
-
-    def test_theme_plan_uses_theme_activation(self, tmp_path):
-        title = "WordPress Theme Clean Portfolio 1.4 - Arbitrary File Upload"
-        component = make_component("clean-portfolio", kind=ComponentKind.THEME)
-        plan = build_plan(parse_title(title), IMAGE, [component], CONFIG, edb_id=502, title=title)
-        assert plan.setup_steps[-1].kind is StepKind.ACTIVATE_THEME
-        assert plan.component_target(component).endswith("wp-content/themes/clean-portfolio")
+    def test_theme_plan_uses_theme_activation(self):
+        plan = theme_plan()
+        assert setup_commands(plan)[-1] == WP + ["theme", "activate", "clean-portfolio"]
+        assert plan.component_target(plan.components[0]).endswith("wp-content/themes/clean-portfolio")
 
     def test_component_target_for_plugins(self, tmp_path):
         plan = plugin_plan()
         assert plan.component_target(plan.components[0]) == (
             "/var/www/html/wp-content/plugins/sample"
         )
+
+    def test_components_are_set_up_in_resolution_order(self):
+        title = "WordPress Plugin Sample 1.0 - SQL Injection"
+        components = [make_component("zeta"), make_component("alpha", kind=ComponentKind.THEME)]
+        plan = build_plan(parse_title(title), IMAGE, components, CONFIG, edb_id=505, title=title)
+        assert setup_commands(plan)[2:] == [
+            ["test", "-e", "/var/www/html/wp-content/plugins/zeta"],
+            WP + ["plugin", "activate", "zeta"],
+            ["test", "-e", "/var/www/html/wp-content/themes/alpha"],
+            WP + ["theme", "activate", "alpha"],
+        ]
 
 
 class TestPlanInvariants:
@@ -138,62 +149,12 @@ class TestPlanInvariants:
                 title="WordPress Plugin Twin 1.0 - XSS",
             )
 
-    def test_slugless_copy_step_rejected(self):
-        with pytest.raises(ValueError, match="slug"):
-            SetupStep(StepKind.COPY_COMPONENT)
-
-    def test_slug_on_install_step_rejected(self):
-        with pytest.raises(ValueError, match="slug"):
-            SetupStep(StepKind.INSTALL_CORE, slug="sample")
-
-    def _plan_with_steps(self, tmp_path, steps) -> EnvironmentPlan:
-        component = make_component("sample")
-        return EnvironmentPlan(
-            edb_id=504,
-            title="WordPress Plugin Sample 1.0 - SQL Injection",
-            base_image=IMAGE,
-            components=(component,),
-            database=CONFIG.database,
-            site=CONFIG.site,
-            setup_steps=tuple(steps),
-            docroot=CONFIG.docroot,
-        )
-
-    def test_admin_before_install_rejected(self, tmp_path):
-        steps = [SetupStep(StepKind.CREATE_ADMIN), SetupStep(StepKind.INSTALL_CORE)]
-        with pytest.raises(ValueError, match="install"):
-            self._plan_with_steps(tmp_path, steps)
-
-    def test_activation_before_copy_rejected(self, tmp_path):
-        steps = [
-            SetupStep(StepKind.INSTALL_CORE),
-            SetupStep(StepKind.CREATE_ADMIN),
-            SetupStep(StepKind.ACTIVATE_PLUGIN, "sample"),
-            SetupStep(StepKind.COPY_COMPONENT, "sample"),
-        ]
-        with pytest.raises(ValueError, match="precedes"):
-            self._plan_with_steps(tmp_path, steps)
-
-    def test_step_against_unknown_slug_rejected(self, tmp_path):
-        steps = [
-            SetupStep(StepKind.INSTALL_CORE),
-            SetupStep(StepKind.CREATE_ADMIN),
-            SetupStep(StepKind.COPY_COMPONENT, "stranger"),
-            SetupStep(StepKind.ACTIVATE_PLUGIN, "stranger"),
-        ]
-        with pytest.raises(ValueError, match="outside"):
-            self._plan_with_steps(tmp_path, steps)
-
-    def test_missing_admin_step_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="exactly one"):
-            self._plan_with_steps(tmp_path, [SetupStep(StepKind.INSTALL_CORE)])
-
 
 class TestStepRendering:
     def test_install_uses_owner_account(self):
         plan = core_plan()
-        argv = render_step_argv(SetupStep(StepKind.INSTALL_CORE), plan)
-        assert argv[:3] == ["wp", "--allow-root", "--path=/var/www/html"]
+        argv = setup_commands(plan)[0]
+        assert argv[:3] == WP
         assert "core" in argv and "install" in argv
         assert f"--url={plan.site.url}" in argv
         assert f"--title=edb-{plan.edb_id}" in argv
@@ -202,7 +163,7 @@ class TestStepRendering:
 
     def test_admin_step_creates_scenario_account(self):
         plan = core_plan()
-        argv = render_step_argv(SetupStep(StepKind.CREATE_ADMIN), plan)
+        argv = setup_commands(plan)[1]
         assert "user" in argv and "create" in argv
         assert plan.site.admin_user in argv
         assert plan.site.admin_email in argv
@@ -210,20 +171,19 @@ class TestStepRendering:
         assert plan.site.admin_user != plan.site.owner_user
 
     def test_copy_step_renders_existence_check(self, tmp_path):
-        plan = plugin_plan()
-        argv = render_step_argv(plan.setup_steps[2], plan)
-        assert argv == ["test", "-e", "/var/www/html/wp-content/plugins/sample"]
+        assert setup_commands(plugin_plan())[2] == ["test", "-e", "/var/www/html/wp-content/plugins/sample"]
 
     def test_activation_argv(self, tmp_path):
-        plan = plugin_plan()
-        argv = render_step_argv(plan.setup_steps[3], plan)
-        assert argv[-3:] == ["plugin", "activate", "sample"]
+        assert setup_commands(plugin_plan())[3][-3:] == ["plugin", "activate", "sample"]
 
-    def test_step_line_is_shell_safe(self):
-        plan = core_plan()
-        line = render_step_line(SetupStep(StepKind.INSTALL_CORE), plan)
-        assert "\n" not in line
-        assert line.startswith("wp ")
+    def test_step_line_is_shell_safe(self, tmp_path):
+        site = replace(CONFIG.site, admin_password="pw with 'quotes'; rm -rf /")
+        title = "WordPress Core < 4.7.1 - Content Injection"
+        plan = build_plan(parse_title(title), IMAGE, [], replace(CONFIG, site=site), edb_id=500, title=title)
+        assert setup_commands(plan)[1][-1] == "--user_pass=pw with 'quotes'; rm -rf /"
+        emit(plan, tmp_path / "bundle")
+        body = (tmp_path / "bundle" / "setup.sh").read_text(encoding="utf-8")
+        assert shlex.split(body.split("set -e\n", 1)[1]) == [arg for argv in setup_commands(plan) for arg in argv]
 
 
 class TestEmitBundle:
@@ -273,8 +233,7 @@ class TestEmitBundle:
         emit(plan, tmp_path / "bundle")
         body = (tmp_path / "bundle" / "setup.sh").read_text(encoding="utf-8")
         lines = [l for l in body.splitlines() if l and not l.startswith("#") and l != "set -e"]
-        assert len(lines) == len(plan.setup_steps)
-        assert lines[0] == render_step_line(plan.setup_steps[0], plan)
+        assert [shlex.split(line) for line in lines] == setup_commands(plan)
         assert lines[-1].endswith("plugin activate sample")
 
     def test_provenance_validates_and_round_trips(self, tmp_path):
@@ -311,6 +270,47 @@ class TestEmitBundle:
             stage_bundle(blocker / "bundle")
         with pytest.raises(BundleWriteError):
             emit_bundle(core_plan(), blocker / "bundle", generated_at=STAMP)
+
+
+_SCRIPT_HEAD = (
+    "#!/bin/sh\n"
+    "# Post-boot site configuration. Run inside the application container.\n"
+    "set -e\n"
+)
+_WP = "wp --allow-root --path=/var/www/html"
+_ADMIN = f"{_WP} user create admin admin@example.test --role=administrator --user_pass=password123\n"
+
+
+def _install(edb_id: int) -> str:
+    return (
+        f"{_WP} core install --url=http://localhost:8080 --title=edb-{edb_id} --admin_user=sysop"
+        " --admin_password=sysop-install-pw --admin_email=sysop@example.test --skip-email\n"
+    )
+
+
+class TestSetupScriptText:
+    """setup.sh byte for byte, for each kind of plan."""
+
+    def script(self, plan: EnvironmentPlan, tmp_path: Path) -> str:
+        emit(plan, tmp_path / "bundle")
+        return (tmp_path / "bundle" / "setup.sh").read_text(encoding="utf-8")
+
+    def test_core_plan(self, tmp_path):
+        assert self.script(core_plan(), tmp_path) == _SCRIPT_HEAD + _install(500) + _ADMIN
+
+    def test_plugin_plan(self, tmp_path):
+        assert self.script(plugin_plan(), tmp_path) == (
+            _SCRIPT_HEAD + _install(501) + _ADMIN
+            + "test -e /var/www/html/wp-content/plugins/sample\n"
+            + f"{_WP} plugin activate sample\n"
+        )
+
+    def test_theme_plan(self, tmp_path):
+        assert self.script(theme_plan(), tmp_path) == (
+            _SCRIPT_HEAD + _install(502) + _ADMIN
+            + "test -e /var/www/html/wp-content/themes/clean-portfolio\n"
+            + f"{_WP} theme activate clean-portfolio\n"
+        )
 
 
 class TestExactAtomicEmission:

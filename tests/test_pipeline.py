@@ -6,18 +6,26 @@ import pytest
 
 import vulnwp.pipeline
 from vulnwp.bootstrap import ReadinessClient, SimulatedClock
-from vulnwp.iac import BUNDLE_FILES, staging_dir
+from vulnwp.corpus import load_corpus
+from vulnwp.iac import BUNDLE_FILES, setup_commands, staging_dir
 from vulnwp.pipeline import (
     FailureReason,
     GenerationMode,
     GenerationOutcome,
     OutcomeStatus,
+    PipelineServices,
     concrete_version,
     generate,
     resolve_constraint,
 )
 from vulnwp.reporting import read_outcomes, run_batch, write_outcomes
-from vulnwp.resolvers import HttpSvnMirror, SvnMirror
+from vulnwp.resolvers import (
+    DiskSvnMirror,
+    DockerHubTagIndex,
+    HttpSvnMirror,
+    SourceClients,
+    SvnMirror,
+)
 from vulnwp.titles import parse_title
 from vulnwp.versions import FixtureCpeDictionary, Version, VersionConstraint, parse_version_expr
 
@@ -207,8 +215,8 @@ class TestGenerateEdges:
         )
         assert outcome.is_success
         assert services.readiness.calls == [0.0, 10.0, 20.0, 30.0]
-        # Build and compose up, then one exec per setup step.
-        assert len(services.executor.calls) == 2 + len(outcome.plan.setup_steps)
+        # Build and compose up, then one exec per setup command.
+        assert len(services.executor.calls) == 2 + len(setup_commands(outcome.plan))
         assert {cwd for _, cwd in services.executor.calls} == {tmp_path / "out" / "103"}
 
     def test_bootstrap_timeout_is_a_setup_error(self, e2e_tree, e2e_corpus, tmp_path):
@@ -253,7 +261,10 @@ class AdminSvnMirror(SvnMirror):
 class RefusingSession:
     """A session whose every request fails in transport."""
 
-    def get(self, url, timeout=None):
+    calls = 0
+
+    def get(self, url, params=None, timeout=None):
+        self.calls += 1
         raise ConnectionError(f"connection to {url} refused")
 
 
@@ -321,6 +332,25 @@ class TestStagedEmission:
         from_svn = [edb_id for edb_id, expected in E2E_EXPECTED.items() if expected[3] == ("svn-repo",)]
         assert from_svn
         assert {outcomes[edb_id].reason for edb_id in from_svn} == {FailureReason.FETCH_FAILURE}
+
+    def test_an_unreachable_registry_fails_its_records_and_the_batch_goes_on(self, tmp_path):
+        demo = Path(__file__).resolve().parent.parent / "data" / "demo"
+        corpus = load_corpus(demo / "corpus" / "files_exploits.csv", demo / "corpus")
+        session = RefusingSession()
+        svn = demo / "fixtures" / "svn"
+        services = PipelineServices(
+            registry=DockerHubTagIndex(session=session),
+            sources=SourceClients(svn=DiskSvnMirror(svn / "plugins", svn / "themes")),
+            out_dir=tmp_path / "out",
+            clock=SimulatedClock(),
+        )
+        write_outcomes(run_batch(corpus, services), tmp_path / "outcomes.ndjson")
+        rows = read_outcomes(tmp_path / "outcomes.ndjson")
+        assert [(row.edb_id, row.reason) for row in rows] == [
+            (edb_id, FailureReason.NO_IMAGE) for edb_id in sorted(corpus.records)
+        ]
+        # Nothing was kept from a failed listing, so each record asked again.
+        assert session.calls == len(corpus.records)
 
     def test_bundle_write_error_keeps_the_earlier_bundle(self, e2e_corpus, services, monkeypatch):
         first = generate(e2e_corpus.records[103], services)

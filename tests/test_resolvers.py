@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import zipfile
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from vulnwp.resolvers import (
     IMAGE_VERSION_FLOOR,
     ComponentKind,
     DiskSvnMirror,
+    DockerHubTagIndex,
     FixtureLinkDownloader,
     FixtureTagIndex,
     HttpSvnMirror,
@@ -205,6 +207,82 @@ class TestFindLatestImage:
     def test_empty_registry_raises(self):
         with pytest.raises(NoImageError):
             find_latest_image(FixtureTagIndex([]))
+
+
+class FakeHubResponse:
+    def __init__(self, status_code: int, body: str) -> None:
+        self.status_code = status_code
+        self.body = body
+
+    def raise_for_status(self) -> None:
+        if self.status_code >= 400:
+            raise RuntimeError(f"HTTP {self.status_code}")
+
+    def json(self):
+        import json
+
+        return json.loads(self.body)
+
+
+class FakeHubSession:
+    """Answers each GET with the next of its (status, body) pairs; a
+    ConnectionError in their place is raised instead."""
+
+    def __init__(self, *answers) -> None:
+        self.answers = list(answers)
+        self.urls: list[str] = []
+
+    def get(self, url, params=None, timeout=None):
+        self.urls.append(url)
+        answer = self.answers.pop(0)
+        if isinstance(answer, Exception):
+            raise answer
+        return FakeHubResponse(*answer)
+
+
+_HUB = "https://hub.docker.com/v2/repositories/library/wordpress/tags"
+_PAGE_TWO = f"{_HUB}?page=2"
+
+
+class TestDockerHubTagIndex:
+    def test_lists_every_page(self):
+        session = FakeHubSession(
+            (200, f'{{"results": [{{"name": "5.0"}}], "next": "{_PAGE_TWO}"}}'),
+            (200, '{"results": [{"name": "4.7.0"}, {"name": "latest"}], "next": null}'),
+        )
+        assert DockerHubTagIndex(session=session).list_tags() == ["5.0", "4.7.0", "latest"]
+        assert session.urls == [_HUB, _PAGE_TWO]
+
+    @pytest.mark.parametrize("answer, cause", [
+        (ConnectionError("connection refused"), "connection refused"),
+        ((503, ""), "HTTP 503"),
+        ((200, "<html>maintenance</html>"), "Expecting value"),
+        ((200, '{"results": [{"tag": "5.0"}]}'), "'name'"),
+    ], ids=["transport", "http", "not-json", "no-name"])
+    def test_a_failed_listing_is_no_image_naming_url_and_cause(self, answer, cause):
+        index = DockerHubTagIndex(session=FakeHubSession(answer))
+        with pytest.raises(NoImageError, match=f"^{re.escape(f'listing {_HUB} failed: ')}.*{re.escape(cause)}"):
+            find_latest_image(index)
+
+    def test_a_failure_on_a_later_page_names_that_page(self):
+        session = FakeHubSession(
+            (200, f'{{"results": [{{"name": "5.0"}}], "next": "{_PAGE_TWO}"}}'),
+            ConnectionError("reset by peer"),
+        )
+        with pytest.raises(NoImageError, match=f"^{re.escape(f'listing {_PAGE_TWO} failed: reset by peer')}$"):
+            find_latest_image(DockerHubTagIndex(session=session))
+
+    def test_a_failed_listing_is_asked_again_and_a_good_one_is_kept(self):
+        session = FakeHubSession(
+            ConnectionError("connection refused"),
+            (200, '{"results": [{"name": "5.0"}], "next": null}'),
+        )
+        index = DockerHubTagIndex(session=session)
+        with pytest.raises(NoImageError):
+            find_core_image(parse_version_expr("5.0"), index)
+        assert find_core_image(parse_version_expr("5.0"), index).tag == "5.0"
+        assert find_latest_image(index).tag == "5.0"
+        assert session.urls == [_HUB, _HUB]
 
 
 class TestDeriveSlug:
