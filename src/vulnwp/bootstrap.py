@@ -15,6 +15,7 @@ and on simulated time.
 from __future__ import annotations
 
 import logging
+import os
 import shlex
 import time
 from abc import ABC, abstractmethod
@@ -23,7 +24,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .config import GeneratorConfig
-from .errors import BootstrapTimeoutError, SetupStepFailedError
+from .errors import BootstrapTimeoutError, SetupStepFailedError, VulnwpError
 from .iac import APP_SERVICE, EnvironmentPlan, app_image_name, setup_commands
 
 logger = logging.getLogger(__name__)
@@ -56,11 +57,40 @@ class Clock(ABC):
 
 
 class SystemClock(Clock):
+    """The machine's clocks, except that now() answers the time
+    SOURCE_DATE_EPOCH names when that variable is set and not empty: a
+    whole number of seconds since 1970-01-01 UTC, as `date +%s` prints it
+    (https://reproducible-builds.org/specs/source-date-epoch/). Bundles
+    built from the same inputs then carry the same bytes. The variable is
+    read once, when the clock is made; a value that is not ASCII digits,
+    or names no representable time, raises VulnwpError."""
+
+    def __init__(self) -> None:
+        self._source_date = _source_date_epoch()
+
+    def now(self) -> datetime:
+        return super().now() if self._source_date is None else self._source_date
+
     def monotonic(self) -> float:
         return time.monotonic()
 
     def sleep(self, seconds: float) -> None:
         time.sleep(seconds)
+
+
+def _source_date_epoch() -> datetime | None:
+    value = os.environ.get("SOURCE_DATE_EPOCH")
+    if not value:
+        return None
+    try:
+        if not (value.isdigit() and value.isascii()):
+            raise ValueError
+        return datetime.fromtimestamp(int(value), timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        raise VulnwpError(
+            "SOURCE_DATE_EPOCH must be a whole number of seconds since 1970-01-01 UTC, "
+            f"got {value!r}"
+        ) from None
 
 
 class SimulatedClock(Clock):

@@ -5,7 +5,11 @@ The on-disk layout mirrors a public exploit database dump: a CSV index
 optional codes column with semicolon separated CVE ids), PoC files
 referenced by relative path, and optional attached application archives
 named <edb_id>.zip. Loading checks each PoC path once, and a path that
-is not a regular file reads as a missing PoC. A PoC is read, with one
+is not a regular file reads as a missing PoC. The check lists each PoC
+folder once: a name the listing shows as a regular file, or a link to
+one, is present; any other path (a name the listing lacks, one that ends
+in "/", each path in a folder that cannot be listed) falls back to a
+stat of its own, which gives the same answer. A PoC is read, with one
 open, when its record's poc_text or poc_header is first used, so a
 command reads only the PoCs it needs and the corpus tree must stay in
 place until the command ends. Only the head of a PoC is kept: the first
@@ -22,6 +26,8 @@ import os
 import re
 import stat
 import sys
+from collections.abc import Iterator
+from contextlib import closing
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -113,6 +119,13 @@ class ExploitRecord:
 
 _POC_FIELDS = ("poc_text", "poc_header")
 
+# A record built by the constructor before load_corpus builds any field by
+# field. CPython 3.11 and later size an instance's attribute storage by the
+# attribute names its class has seen so far; a loaded record made before
+# any record held the PoC fields would move its attributes into a dict of
+# its own once they were filled, and take about three times the memory.
+ExploitRecord(0, "", "", "", EARLIEST_PUBLICATION, "", (), "", {})
+
 
 @dataclass
 class Corpus:
@@ -172,10 +185,12 @@ def _parse_cve_codes(codes: str | None) -> tuple[str, ...]:
 
 
 def _parse_row(
-    row: list[str], columns: dict[str, int], last_required: int, row_number: int
+    row: list[str], columns: dict[str, int], last_required: int, row_number: int,
+    dates: dict[str, date],
 ) -> tuple[int, str, date]:
     # A required column at or past the end of a short row is missing;
-    # last_required is the highest required position.
+    # last_required is the highest required position. dates maps each date
+    # string already accepted to its date.
     width = len(row)
     if width <= last_required:
         missing = sorted(column for column in _REQUIRED_COLUMNS if columns[column] >= width)
@@ -192,36 +207,41 @@ def _parse_row(
     except ValueError:
         raise IndexUnreadableError(f"row {row_number}: id {raw_id!r} is not an integer")
     raw_date = row[columns["date"]]
-    match = _INDEX_DATE.fullmatch(raw_date)
-    try:
-        if match is None:
-            raise ValueError
-        published = date.fromisoformat(match[1])
-    except ValueError:
-        raise IndexUnreadableError(f"row {row_number}: date {raw_date!r} is not ISO formatted")
-    if published < EARLIEST_PUBLICATION:
-        raise IndexUnreadableError(
-            f"row {row_number}: published {published} predates {EARLIEST_PUBLICATION}"
-        )
+    published = dates.get(raw_date)
+    if published is None:
+        match = _INDEX_DATE.fullmatch(raw_date)
+        try:
+            if match is None:
+                raise ValueError
+            published = date.fromisoformat(match[1])
+        except ValueError:
+            raise IndexUnreadableError(f"row {row_number}: date {raw_date!r} is not ISO formatted")
+        if published < EARLIEST_PUBLICATION:
+            raise IndexUnreadableError(
+                f"row {row_number}: published {published} predates {EARLIEST_PUBLICATION}"
+            )
+        dates[raw_date] = published
     return edb_id, row[columns["file"]], published
 
 
-def _read_index(index_path: Path) -> tuple[dict[str, int], list[tuple[int, list[str]]]]:
-    """The index's column positions by name (the last of duplicate names
-    wins) and its non-blank rows, each with the line it starts on."""
-    with index_path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        columns = {name: position for position, name in enumerate(next(reader, []))}
-        if not _REQUIRED_COLUMNS.issubset(columns):
-            missing = sorted(_REQUIRED_COLUMNS - columns.keys())
-            raise IndexUnreadableError(f"index {index_path} lacks columns: {', '.join(missing)}")
-        rows = []
-        line_number = reader.line_num + 1
-        for row in reader:
-            if row:
-                rows.append((line_number, row))
+def _read_index(index_path: Path) -> Iterator[tuple[int, list[str]]]:
+    """The index's rows, each with the line it starts on, read one at a time
+    as they are asked for: first its header row (line 1), blank or not,
+    then each non-blank row. Raises IndexUnreadableError when the index
+    cannot be read or is not valid CSV."""
+    try:
+        with index_path.open(newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            yield 1, next(reader, [])
             line_number = reader.line_num + 1
-    return columns, rows
+            for row in reader:
+                if row:
+                    yield line_number, row
+                line_number = reader.line_num + 1
+    except OSError as exc:
+        raise IndexUnreadableError(f"cannot read index {index_path}: {exc}") from exc
+    except csv.Error as exc:
+        raise IndexUnreadableError(f"index {index_path} is not valid CSV: {exc}") from exc
 
 
 def _read_poc_head(path: str) -> tuple[str, list[str]] | None:
@@ -285,12 +305,22 @@ def _body_scan_can_match(head: str) -> bool:
     return not head.isascii() or "version" in head.lower()
 
 
-def _list_names(directory: Path) -> set[str]:
-    """Entry names in directory; none when it is missing or not a directory."""
-    try:
-        return set(os.listdir(directory))
-    except (FileNotFoundError, NotADirectoryError):
-        return set()
+def _regular_files(folder: str) -> set[str]:
+    """The names in folder of regular files and links to one, from one
+    listing. A name whose link cannot be followed for a reason other than
+    a missing target is left out. Raises OSError or ValueError when folder
+    cannot be listed."""
+    names = set()
+    with os.scandir(folder) as entries:
+        for entry in entries:
+            # is_file() reads the entry's type from the listing, and
+            # stats only a link or an entry of unknown type.
+            try:
+                if entry.is_file():
+                    names.add(entry.name)
+            except OSError:
+                pass
+    return names
 
 
 def load_corpus(index_path: Path | str, files_root: Path | str) -> Corpus:
@@ -298,11 +328,13 @@ def load_corpus(index_path: Path | str, files_root: Path | str) -> Corpus:
 
     The index's file column is relative to files_root; attached archives
     are read from <files_root>/apps/<edb_id>.zip, a regular file or a link
-    to one; the snapshot date is today. Each PoC path is checked once,
-    and read only when its record's poc_text or poc_header is first used
-    (see ExploitRecord): the header is parsed from the first
-    POC_HEAD_LINES lines, which are kept as poc_text only when the version
-    body scan could match in them. A path that is anything but a regular
+    to one; the snapshot date is today. Each PoC path is checked once, by
+    its folder's listing or, where that does not show it as a regular
+    file, by a stat of its own (see the module docstring). It is read
+    only when its record's poc_text or poc_header is first used (see
+    ExploitRecord): the header is parsed from the first POC_HEAD_LINES
+    lines, which are kept as poc_text only when the version body scan
+    could match in them. A path that is anything but a regular
     file or a link to one (a directory, a FIFO, a device, a dangling link)
     is a missing PoC, like a path that does not exist. A row whose PoC
     file is missing still yields a record (empty poc_text and poc_header)
@@ -310,62 +342,89 @@ def load_corpus(index_path: Path | str, files_root: Path | str) -> Corpus:
     Blank index lines are skipped. Raises IndexUnreadableError for a
     missing or malformed index, including a row that lacks a required
     column, naming a row by the index line it starts on, and
-    DuplicateIdError when two rows share an id.
+    DuplicateIdError when two rows share an id. The index is read one row
+    at a time and each row is checked as it is read, so of several faults
+    the one nearest the top of the index is raised.
     """
     index_path = Path(index_path)
     root = os.fspath(files_root)
     apps_root = Path(root, "apps")
 
-    try:
-        columns, rows = _read_index(index_path)
-    except OSError as exc:
-        raise IndexUnreadableError(f"cannot read index {index_path}: {exc}") from exc
-    except csv.Error as exc:
-        raise IndexUnreadableError(f"index {index_path} is not valid CSV: {exc}") from exc
+    # Each row is read as the loop reaches it and released once its record
+    # is built, so the rows are never all held at once.
+    with closing(_read_index(index_path)) as rows:
+        # The last of duplicate column names wins.
+        columns = {name: position for position, name in enumerate(next(rows)[1])}
+        if not _REQUIRED_COLUMNS.issubset(columns):
+            missing = sorted(_REQUIRED_COLUMNS - columns.keys())
+            raise IndexUnreadableError(f"index {index_path} lacks columns: {', '.join(missing)}")
+        last_required = max(columns[column] for column in _REQUIRED_COLUMNS)
+        description_at = columns["description"]
+        author_at = columns["author"]
+        type_at = columns["type"]
+        platform_at = columns["platform"]
+        codes_at = columns.get("codes")
+        try:
+            app_files = _regular_files(apps_root)
+        except (FileNotFoundError, NotADirectoryError):
+            app_files = set()
+        # Each PoC folder, as the text of the file column up to its last "/",
+        # maps to its path and the names of the regular files in it.
+        folders: dict[str, tuple[str, set[str]]] = {}
+        dates: dict[str, date] = {}
+        new_record, set_attribute, intern = object.__new__, object.__setattr__, sys.intern
+        records: dict[int, ExploitRecord] = {}
+        warnings: list[str] = []
+        for row_number, row in rows:
+            edb_id, rel_file, published = _parse_row(
+                row, columns, last_required, row_number, dates
+            )
+            if edb_id in records:
+                raise DuplicateIdError(f"exploit id {edb_id} appears more than once in {index_path}")
 
-    last_required = max(columns[column] for column in _REQUIRED_COLUMNS)
-    description_at = columns["description"]
-    author_at = columns["author"]
-    type_at = columns["type"]
-    platform_at = columns["platform"]
-    codes_at = columns.get("codes")
-    app_names = _list_names(apps_root)
-    set_attribute, delete_attribute = object.__setattr__, object.__delattr__
-    records: dict[int, ExploitRecord] = {}
-    warnings: list[str] = []
-    for row_number, row in rows:
-        edb_id, rel_file, published = _parse_row(row, columns, last_required, row_number)
-        if edb_id in records:
-            raise DuplicateIdError(f"exploit id {edb_id} appears more than once in {index_path}")
+            head, slash, name = rel_file.rpartition("/")
+            folder_key = head + slash
+            folder = folders.get(folder_key)
+            if folder is None:
+                folder_path = os.path.join(root, folder_key)
+                try:
+                    names = _regular_files(folder_path or os.curdir)
+                except (OSError, ValueError):
+                    names = set()
+                folder = folders[folder_key] = folder_path, names
+            folder_path, names = folder
+            # The path os.path.join(root, rel_file) gives. A name the listing
+            # lacks (one that is no file, or that names the file in another
+            # case, or an empty name after a trailing "/") is checked on its own.
+            poc_path = folder_path + name
+            has_poc = name in names or _is_regular_file(poc_path)
 
-        codes = row[codes_at] if codes_at is not None and codes_at < len(row) else None
-        archive_name = f"{edb_id}.zip"
-        archive = apps_root / archive_name if archive_name in app_names else None
-        record = ExploitRecord(
-            edb_id=edb_id,
-            title=row[description_at].strip(),
-            author=sys.intern(row[author_at].strip()),
-            vuln_type=sys.intern(row[type_at].strip()),
-            published=published,
-            platform=sys.intern(row[platform_at].strip()),
-            cve_ids=_parse_cve_codes(codes),
-            poc_text="",
-            poc_header={},
-            app_archive=archive if archive is not None and archive.is_file() else None,
-        )
-        poc_path = os.path.join(root, rel_file)
-        if _is_regular_file(poc_path):
-            # Drop the PoC fields, so that their first read fills them (see
-            # ExploitRecord). Deleting them, rather than never setting them,
-            # keeps the attribute order the records share, and with it their
-            # compact attribute storage.
-            delete_attribute(record, "poc_text")
-            delete_attribute(record, "poc_header")
-            set_attribute(record, "_poc_path", poc_path)
-        else:
-            warnings.append(f"{edb_id}: PoC file {rel_file} missing, record loaded without text")
-            logger.warning("PoC file %s missing for exploit %s", rel_file, edb_id)
-        records[edb_id] = record
+            # Set field by field, which is cheaper than the keyword constructor.
+            # A record with a PoC leaves poc_text and poc_header unset, so that
+            # their first read fills them (see ExploitRecord).
+            record = new_record(ExploitRecord)
+            set_attribute(record, "edb_id", edb_id)
+            set_attribute(record, "title", row[description_at].strip())
+            set_attribute(record, "author", intern(row[author_at].strip()))
+            set_attribute(record, "vuln_type", intern(row[type_at].strip()))
+            set_attribute(record, "published", published)
+            set_attribute(record, "platform", intern(row[platform_at].strip()))
+            codes = row[codes_at] if codes_at is not None and codes_at < len(row) else None
+            set_attribute(record, "cve_ids", _parse_cve_codes(codes))
+            if not has_poc:
+                set_attribute(record, "poc_text", "")
+                set_attribute(record, "poc_header", {})
+            archive_name = f"{edb_id}.zip"
+            set_attribute(record, "app_archive",
+                          apps_root / archive_name if archive_name in app_files else None)
+            if has_poc:
+                set_attribute(record, "_poc_path", poc_path)
+            else:
+                warnings.append(
+                    f"{edb_id}: PoC file {rel_file} missing, record loaded without text"
+                )
+                logger.warning("PoC file %s missing for exploit %s", rel_file, edb_id)
+            records[edb_id] = record
 
     return Corpus(
         records=records,

@@ -50,7 +50,6 @@ import yaml
 from .config import DatabaseSpec, GeneratorConfig, SiteSpec
 from .errors import BundleWriteError
 from .resolvers import ComponentKind, FetchedComponent, ImageRef
-from .titles import ParsedTitle
 
 __all__ = [
     "EnvironmentPlan",
@@ -147,7 +146,6 @@ def app_image_name(edb_id: int) -> str:
 
 
 def build_plan(
-    parsed: ParsedTitle,
     image: ImageRef,
     components: list[FetchedComponent] | tuple[FetchedComponent, ...],
     config: GeneratorConfig,

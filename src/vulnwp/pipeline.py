@@ -289,7 +289,6 @@ def generate(
             return failure(FailureReason.FETCH_FAILURE)
 
     plan = build_plan(
-        parsed,
         image,
         components,
         services.config,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -13,11 +14,12 @@ from vulnwp.bootstrap import (
     ReadinessClient,
     ReadinessProbe,
     SimulatedClock,
+    SystemClock,
     bring_up,
     wait_ready,
 )
 from vulnwp.config import GeneratorConfig
-from vulnwp.errors import BootstrapTimeoutError, SetupStepFailedError
+from vulnwp.errors import BootstrapTimeoutError, SetupStepFailedError, VulnwpError
 from vulnwp.iac import setup_commands
 
 from test_iac import core_plan, plugin_plan
@@ -246,3 +248,31 @@ def test_docker_executor_without_binary_answers_127(tmp_path, monkeypatch):
     status, output = DockerExecutor().run(["version"], tmp_path)
     assert status == 127
     assert output
+
+
+class TestSystemClock:
+    def test_now_is_the_wall_clock_without_source_date_epoch(self, monkeypatch):
+        monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+        before = datetime.now(timezone.utc)
+        now = SystemClock().now()
+        assert before <= now <= datetime.now(timezone.utc)
+
+    @pytest.mark.parametrize(
+        "value, now",
+        [("0", datetime(1970, 1, 1, tzinfo=timezone.utc)),
+         ("1700000000", datetime(2023, 11, 14, 22, 13, 20, tzinfo=timezone.utc))],
+    )
+    def test_source_date_epoch_is_read_once_when_the_clock_is_made(self, monkeypatch, value, now):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
+        clock = SystemClock()
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1")
+        assert clock.now() == now
+        assert clock.now().tzinfo is timezone.utc
+        monkeypatch.delenv("SOURCE_DATE_EPOCH")
+        assert clock.now() == now
+
+    @pytest.mark.parametrize("value", ["x", "1.0", "+1", "-1", "1 ", "\u0661", "9" * 30])
+    def test_malformed_source_date_epoch_is_refused(self, monkeypatch, value):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
+        with pytest.raises(VulnwpError, match="SOURCE_DATE_EPOCH"):
+            SystemClock()

@@ -13,7 +13,7 @@ import yaml
 
 import vulnwp.pipeline
 import vulnwp.reporting
-from vulnwp.bootstrap import SimulatedClock, SystemClock
+from vulnwp.bootstrap import SimulatedClock
 from vulnwp.cli import main
 from vulnwp.config import DatabaseSpec
 from vulnwp.resolvers import DiskSvnMirror
@@ -83,9 +83,9 @@ class TestGenerateCommand:
 
     def test_json_output_is_the_row_batch_writes(self, e2e_tree, tmp_path, capsys, monkeypatch):
         """Apart from elapsed, generate --json prints for each record the
-        outcomes.ndjson line batch writes for it. provenance.json takes the
-        clock's time, which is held still so the digests agree."""
-        monkeypatch.setattr(SystemClock, "now", lambda self: STAMP)
+        outcomes.ndjson line batch writes for it. provenance.json takes its
+        time from SOURCE_DATE_EPOCH, so the digests agree."""
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", str(int(STAMP.timestamp())))
         out = tmp_path / "out"
         assert main(base_args(e2e_tree, out) + ["batch"]) == 0
         capsys.readouterr()
@@ -100,6 +100,39 @@ class TestGenerateCommand:
             assert code == (0 if json.loads(line)["status"] == "success" else 2)
             assert printed.count("\n") == 1
             assert without_elapsed(printed) == without_elapsed(line)
+
+    def test_source_date_epoch_makes_bundles_byte_identical(self, e2e_tree, tmp_path, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        trees = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main(base_args(e2e_tree, out) + ["generate", "--edb-id", "103"]) == 0
+            files = sorted(p for p in (out / "103").rglob("*") if p.is_file())
+            trees.append({p.relative_to(out): p.read_bytes() for p in files})
+        assert trees[0] == trees[1]
+        provenance = json.loads(trees[0][Path("103", "provenance.json")])
+        assert provenance["generated_at"] == "2023-11-14T22:13:20+00:00"
+
+    @pytest.mark.parametrize("value", ["1.5", "-1", " 1700000000", "1e9", "\u0667", "9" * 20])
+    @pytest.mark.parametrize("command", [["generate", "--edb-id", "103"], ["batch"]])
+    def test_malformed_source_date_epoch_is_a_usage_error(
+        self, e2e_tree, tmp_path, capsys, monkeypatch, value, command
+    ):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
+        out = tmp_path / "out"
+        assert main(base_args(e2e_tree, out) + command) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: SOURCE_DATE_EPOCH must be a whole number of seconds since "
+                       f"1970-01-01 UTC, got {value!r}\n")
+        assert not out.exists()
+
+    def test_empty_source_date_epoch_is_unset(self, e2e_tree, tmp_path, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "")
+        out = tmp_path / "out"
+        before = datetime.now(timezone.utc)
+        assert main(base_args(e2e_tree, out) + ["generate", "--edb-id", "103"]) == 0
+        provenance = json.loads((out / "103" / "provenance.json").read_text(encoding="utf-8"))
+        generated_at = datetime.fromisoformat(provenance["generated_at"])
+        assert before <= generated_at <= datetime.now(timezone.utc)
 
     def test_config_override_changes_emitted_port(self, e2e_tree, tmp_path, capsys):
         config = tmp_path / "config.json"

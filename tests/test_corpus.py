@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import os
 import re
+import subprocess
 import sys
 import tempfile
 import threading
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vulnwp.corpus as corpus_module
-from vulnwp.corpus import POC_HEAD_LINES, load_corpus, parse_poc_header
+from vulnwp.corpus import POC_HEAD_LINES, ExploitRecord, load_corpus, parse_poc_header
 from vulnwp.errors import DuplicateIdError, IndexUnreadableError
 from vulnwp.versions import Version, VersionConstraint, extract_version_from_poc
 
@@ -182,6 +184,58 @@ class TestLoadCorpus:
         index = write_index(tmp_path / "files_exploits.csv", [row(1, date="1970-01-01")])
         with pytest.raises(IndexUnreadableError):
             load_corpus(index, tmp_path)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("1998-12-31", "published 1998-12-31 predates 1999-01-01"),
+            ("2018-02-30", "date '2018-02-30' is not ISO formatted"),
+            ("03/05/2018", "date '03/05/2018' is not ISO formatted"),
+        ],
+    )
+    def test_refused_date_is_refused_however_often_its_string_repeats(
+        self, tmp_path, bad, message
+    ):
+        # A date string is parsed once per load, and only an accepted one is
+        # remembered: every load refuses the first row that carries it.
+        rows = [row(1), row(2, date=" 2018-03-05"), row(3, date=bad), row(4, date=bad), row(5)]
+        index = write_index(tmp_path / "files_exploits.csv", rows)
+        good = write_index(tmp_path / "good.csv", [row(1), row(2)])
+        for _ in range(2):
+            with pytest.raises(IndexUnreadableError) as excinfo:
+                load_corpus(index, tmp_path)
+            assert str(excinfo.value) == f"row 4: {message}"
+            assert [r.published for r in load_corpus(good, tmp_path)] == [date(2018, 3, 5)] * 2
+
+    def test_index_that_is_not_valid_csv_raises(self, tmp_path):
+        huge = "x" * (csv.field_size_limit() + 1)
+        index = write_index(tmp_path / "files_exploits.csv", [row(1), row(2, description=huge)])
+        with pytest.raises(IndexUnreadableError, match="is not valid CSV: field larger than"):
+            load_corpus(index, tmp_path)
+
+    @pytest.mark.parametrize(
+        "first, error, message",
+        [
+            (row(2, date="1998-12-31"), IndexUnreadableError, "row 3: published 1998-12-31"),
+            (row(1), DuplicateIdError, "exploit id 1 appears more than once"),
+        ],
+    )
+    def test_rows_are_checked_as_they_are_read(self, tmp_path, first, error, message):
+        # A faulty row raises before a later row that is not valid CSV is read.
+        huge = "x" * (csv.field_size_limit() + 1)
+        index = write_index(tmp_path / "files_exploits.csv",
+                            [row(1), first, row(3, description=huge)])
+        with pytest.raises(error, match=message):
+            load_corpus(index, tmp_path)
+
+    def test_repeated_date_strings_give_equal_dates(self, tmp_path):
+        dates = ["2018-03-05", "2018-03-05", " 2018-03-05", "2019-12-31", "2018-03-05",
+                 "2019-12-31"]
+        index = write_index(tmp_path / "files_exploits.csv",
+                            [row(i, date=d) for i, d in enumerate(dates, 1)])
+        published = [r.published for r in load_corpus(index, tmp_path)]
+        assert published == [date(2018, 3, 5)] * 3 + [date(2019, 12, 31), date(2018, 3, 5),
+                                                      date(2019, 12, 31)]
 
     @pytest.mark.parametrize(
         "line, missing",
@@ -358,42 +412,44 @@ def reference_load_index(path: Path):
             missing = sorted(set(_REQUIRED_INDEX_COLUMNS) - fieldnames)
             if missing:
                 raise IndexUnreadableError(f"index {path} lacks columns: {', '.join(missing)}")
-            rows = list(reader)
+            records, warnings = {}, []
+            # Rows are checked as they are read, as the loader reads them.
+            for row in reader:
+                missing = sorted(c for c in _REQUIRED_INDEX_COLUMNS if row[c] is None)
+                if missing:
+                    raise IndexUnreadableError(f"lacks columns: {', '.join(missing)}")
+                raw_id = row["id"].strip()
+                if not (raw_id.isascii() and raw_id.isdigit()):
+                    raise IndexUnreadableError(f"id {row['id']!r} is not an integer")
+                edb_id = int(raw_id)
+                raw_date = row["date"].strip()
+                parts = raw_date[:4], raw_date[5:7], raw_date[8:]
+                try:
+                    digits = all(p.isascii() and p.isdigit() for p in parts)
+                    if not (len(raw_date) == 10 and raw_date[4] == raw_date[7] == "-" and digits):
+                        raise ValueError(raw_date)
+                    published = date(*map(int, parts))
+                except ValueError:
+                    raise IndexUnreadableError(f"date {row['date']!r} is not ISO formatted")
+                if published < date(1999, 1, 1):
+                    raise IndexUnreadableError(f"published {published} predates 1999-01-01")
+                if edb_id in records:
+                    raise DuplicateIdError(f"exploit id {edb_id} appears more than once in {path}")
+                cves = [token.strip().upper() for token in (row.get("codes") or "").split(";")]
+                records[edb_id] = (
+                    edb_id,
+                    row["description"].strip(),
+                    row["author"].strip(),
+                    row["type"].strip(),
+                    published,
+                    row["platform"].strip(),
+                    tuple(cve for cve in cves if re.fullmatch(r"CVE-\d{4}-\d{4,}", cve)),
+                )
+                warnings.append(
+                    f"{edb_id}: PoC file {row['file']} missing, record loaded without text"
+                )
     except csv.Error as exc:
         raise IndexUnreadableError(f"index {path} is not valid CSV: {exc}") from exc
-    records, warnings = {}, []
-    for row in rows:
-        missing = sorted(column for column in _REQUIRED_INDEX_COLUMNS if row[column] is None)
-        if missing:
-            raise IndexUnreadableError(f"lacks columns: {', '.join(missing)}")
-        raw_id = row["id"].strip()
-        if not (raw_id.isascii() and raw_id.isdigit()):
-            raise IndexUnreadableError(f"id {row['id']!r} is not an integer")
-        edb_id = int(raw_id)
-        raw_date = row["date"].strip()
-        parts = raw_date[:4], raw_date[5:7], raw_date[8:]
-        try:
-            digits = all(p.isascii() and p.isdigit() for p in parts)
-            if not (len(raw_date) == 10 and raw_date[4] == raw_date[7] == "-" and digits):
-                raise ValueError(raw_date)
-            published = date(*map(int, parts))
-        except ValueError:
-            raise IndexUnreadableError(f"date {row['date']!r} is not ISO formatted")
-        if published < date(1999, 1, 1):
-            raise IndexUnreadableError(f"published {published} predates 1999-01-01")
-        if edb_id in records:
-            raise DuplicateIdError(f"exploit id {edb_id} appears more than once in {path}")
-        cves = [token.strip().upper() for token in (row.get("codes") or "").split(";")]
-        records[edb_id] = (
-            edb_id,
-            row["description"].strip(),
-            row["author"].strip(),
-            row["type"].strip(),
-            published,
-            row["platform"].strip(),
-            tuple(cve for cve in cves if re.fullmatch(r"CVE-\d{4}-\d{4,}", cve)),
-        )
-        warnings.append(f"{edb_id}: PoC file {row['file']} missing, record loaded without text")
     return records, warnings
 
 
@@ -742,3 +798,210 @@ class TestPocReadAtFirstUse:
             record.poc
         assert not hasattr(record, "_poc_header")
         assert poc_reads == []
+
+
+class TestLoadedRecordsMatchConstructedOnes:
+    """load_corpus builds records without the constructor; each must equal,
+    and repr as, the record the constructor builds from the same values,
+    field by field, whether it is compared before or after its PoC is read."""
+
+    TEXTS = {
+        1: "# Exploit Title: x\n# Version: 1.2\nversion 1.2 is affected\n",  # head kept
+        2: "# Exploit Title: x\n# Tested on: Linux\n",  # head dropped
+        3: None,  # no PoC file
+        4: "Tested on verſion 4.2\n",  # non-ASCII head kept
+    }
+
+    def load(self, root: Path):
+        for edb_id, text in self.TEXTS.items():
+            if text is not None:
+                write_poc(root, edb_id, text)
+        (root / "apps").mkdir()
+        (root / "apps" / "4.zip").write_bytes(b"PK")
+        rows = [row(edb_id, codes="CVE-2019-9978" if edb_id % 2 else "") for edb_id in self.TEXTS]
+        return load_corpus(write_index(root / "files_exploits.csv", rows), root)
+
+    def constructed(self, root: Path, edb_id: int) -> ExploitRecord:
+        text = self.TEXTS[edb_id] or ""
+        return ExploitRecord(
+            edb_id=edb_id,
+            title=f"WordPress Plugin Sample {edb_id} 1.0 - SQL Injection",
+            author="someone",
+            vuln_type="webapps",
+            published=date(2018, 3, 5),
+            platform="php",
+            cve_ids=("CVE-2019-9978",) if edb_id % 2 else (),
+            poc_text=text if not text.isascii() or "version" in text.lower() else "",
+            poc_header=parse_poc_header(text),
+            app_archive=root / "apps" / "4.zip" if edb_id == 4 else None,
+        )
+
+    @pytest.mark.parametrize("first", ["compare", "fields"])
+    def test_each_record_matches_before_and_after_its_poc_is_read(
+        self, tmp_path, poc_reads, first
+    ):
+        corpus = self.load(tmp_path)
+        assert poc_reads == []
+        for edb_id, loaded in corpus.records.items():
+            built = self.constructed(tmp_path, edb_id)
+            for _ in range(2):
+                if first == "compare":
+                    assert loaded == built and built == loaded
+                    assert repr(loaded) == repr(built)
+                for entry in dataclasses.fields(ExploitRecord):
+                    assert getattr(loaded, entry.name) == getattr(built, entry.name), entry.name
+                    assert type(getattr(loaded, entry.name)) is type(getattr(built, entry.name))
+                assert loaded == built and built == loaded
+                assert repr(loaded) == repr(built)
+        assert poc_reads == [os.path.join(tmp_path, "exploits", f"{i}.txt") for i in (1, 2, 4)]
+
+
+class TestPocListing:
+    """A PoC folder's listing settles most PoC checks; a path it does not
+    show as a regular file gets a check of its own. The two ways must agree
+    on which PoCs are present, on the path each record reads, and on the
+    warnings and log lines of the load."""
+
+    def make(self, root: Path, case: str, monkeypatch) -> tuple[str, bool]:
+        """Lay out PoC 1 for case under root; its file column, and whether
+        that names a regular file."""
+        folder = root / "exploits"
+        folder.mkdir()
+        poc = folder / "1.txt"
+        other = root / "elsewhere" / "1.txt"
+        other.parent.mkdir()
+        other.write_text("# Version: 1.0\n")
+        if case == "link":
+            poc.symlink_to(other)
+        elif case == "dangling link":
+            poc.symlink_to(root / "gone.txt")
+        elif case == "link loop":
+            poc.symlink_to(poc)
+        elif case == "directory":
+            poc.mkdir()
+        elif case == "fifo":
+            os.mkfifo(poc)
+        else:
+            poc.write_text("# Version: 1.0\n")
+        if case == "folder with x but not r":
+            # A user other than root cannot list it; root can, so the
+            # refusal is made here as well.
+            folder.chmod(0o100)
+            refused = str(folder)
+            monkeypatch.setattr(os, "scandir", refuse_listing(os.scandir, lambda p: p == refused))
+        files = {
+            "trailing /": "exploits/1.txt/",
+            "..": "exploits/../exploits/1.txt",
+            ".. through a missing folder": "exploits/missing/../1.txt",
+            "absolute": str(other),
+            "other case": "exploits/1.TXT",
+        }
+        present = case in ("link", "regular", "folder with x but not r", "trailing /", "..",
+                           "absolute")
+        return files.get(case, "exploits/1.txt"), present
+
+    def outcome(self, root: Path, rel_file: str, caplog, poc_reads):
+        caplog.clear()
+        poc_reads.clear()
+        with caplog.at_level("WARNING", logger="vulnwp.corpus"):
+            index = write_index(root / "files_exploits.csv", [row(1, file=rel_file)])
+            corpus = load_corpus(index, root)
+            loaded = [r.getMessage() for r in caplog.records]
+            record = corpus.records[1]
+            header = record.poc_header
+        return corpus.warnings, loaded, header, list(poc_reads)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["regular", "link", "dangling link", "link loop", "directory",
+         pytest.param("fifo", marks=pytest.mark.skipif(not hasattr(os, "mkfifo"),
+                                                       reason="needs named pipes")),
+         "folder with x but not r", "trailing /", "..", ".. through a missing folder",
+         "absolute", "other case"],
+    )
+    def test_listing_agrees_with_the_check_of_each_path(self, tmp_path, case, caplog, poc_reads,
+                                                        monkeypatch):
+        rel_file, present = self.make(tmp_path, case, monkeypatch)
+        try:
+            path = os.path.join(tmp_path, rel_file)
+            assert corpus_module._is_regular_file(path) is present
+            listed = self.outcome(tmp_path, rel_file, caplog, poc_reads)
+            # No PoC folder listable: each path is checked on its own.
+            apps = str(tmp_path / "apps")
+            with monkeypatch.context() as unlisted:
+                unlisted.setattr(os, "scandir", refuse_listing(os.scandir, lambda p: p != apps))
+                checked = self.outcome(tmp_path, rel_file, caplog, poc_reads)
+        finally:
+            (tmp_path / "exploits").chmod(0o700)
+        assert listed == checked
+        warnings, logged, header, reads = listed
+        if present:
+            assert (warnings, logged, header, reads) == ([], [], {"version": "1.0"}, [path])
+        else:
+            assert warnings == [f"1: PoC file {rel_file} missing, record loaded without text"]
+            assert logged == [f"PoC file {rel_file} missing for exploit 1"]
+            assert (header, reads) == ({}, [])
+
+    def test_folder_is_listed_once_and_names_it_lacks_are_checked_alone(
+        self, tmp_path, monkeypatch
+    ):
+        for edb_id in (1, 2, 3):
+            write_poc(tmp_path, edb_id, f"# Version: {edb_id}.0\n")
+        (tmp_path / "exploits" / "4.txt").mkdir()
+        listed, checked = [], []
+        scandir, is_regular_file = os.scandir, corpus_module._is_regular_file
+        monkeypatch.setattr(os, "scandir",
+                            lambda path: listed.append(os.fspath(path)) or scandir(path))
+        monkeypatch.setattr(corpus_module, "_is_regular_file",
+                            lambda path: checked.append(path) or is_regular_file(path))
+        rows = [row(i) for i in (1, 2, 3, 4, 5)]
+        rows += [row(6, file="3.txt"), row(7, file="exploits/2.txt")]
+        corpus = load_corpus(write_index(tmp_path / "files_exploits.csv", rows), tmp_path)
+        assert listed == [os.path.join(tmp_path, "apps"), os.path.join(tmp_path, "exploits/"),
+                          os.path.join(tmp_path, "")]
+        assert checked == [os.path.join(tmp_path, "exploits", "4.txt"),
+                           os.path.join(tmp_path, "exploits", "5.txt"),
+                           os.path.join(tmp_path, "3.txt")]
+        assert [edb_id for edb_id, r in corpus.records.items() if r.poc_header] == [1, 2, 3, 7]
+
+
+def refuse_listing(scandir, refused):
+    """os.scandir, except that it refuses to list a folder whose normalised
+    path refused(path) is true for, as it refuses a user who lacks read
+    permission on it."""
+
+    def refusing_scandir(path="."):
+        if refused(os.path.normpath(os.fspath(path))):
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return scandir(path)
+
+    return refusing_scandir
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info < (3, 11),
+                    reason="attribute storage as CPython 3.11 and later lay it out")
+def test_loaded_records_keep_compact_attributes_once_filled(tmp_path):
+    """Filling a loaded record's PoC fields allocates nothing per record: its
+    attributes stay in the compact storage that records of the class share
+    rather than moving into a dict of its own. Run in a fresh interpreter, so
+    that loaded records are among the first the class sees."""
+    write_poc(tmp_path, 1, "# Version: 1.0\n")
+    rows = [row(i, file="exploits/1.txt") for i in range(1, 2001)]
+    index = write_index(tmp_path / "files_exploits.csv", rows)
+    script = (
+        "import sys, tracemalloc\n"
+        "from vulnwp.corpus import load_corpus\n"
+        "records = list(load_corpus(sys.argv[1], sys.argv[2]))\n"
+        "header = {}\n"
+        "tracemalloc.start()\n"
+        "for record in records:\n"
+        "    object.__setattr__(record, 'poc_header', header)\n"
+        "    object.__setattr__(record, 'poc_text', '')\n"
+        "print(tracemalloc.get_traced_memory()[0] / len(records))\n"
+    )
+    source = os.path.dirname(os.path.dirname(corpus_module.__file__))
+    environment = dict(os.environ, PYTHONPATH=source)
+    result = subprocess.run([sys.executable, "-c", script, str(index), str(tmp_path)],
+                            env=environment, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert float(result.stdout) < 16, f"{result.stdout.strip()} bytes per filled record"

@@ -43,7 +43,6 @@ from vulnwp.resolvers import (
     ImageRef,
     SourceKind,
 )
-from vulnwp.titles import parse_title
 from vulnwp.versions import Version
 
 CONFIG = GeneratorConfig()
@@ -81,19 +80,19 @@ def files_on_disk(root: Path) -> set[str]:
 
 def core_plan(edb_id: int = 500) -> EnvironmentPlan:
     title = "WordPress Core < 4.7.1 - Content Injection"
-    return build_plan(parse_title(title), IMAGE, [], CONFIG, edb_id=edb_id, title=title)
+    return build_plan(IMAGE, [], CONFIG, edb_id=edb_id, title=title)
 
 
 def plugin_plan(edb_id: int = 501) -> EnvironmentPlan:
     title = "WordPress Plugin Sample 1.0 - SQL Injection"
     component = make_component("sample")
-    return build_plan(parse_title(title), IMAGE, [component], CONFIG, edb_id=edb_id, title=title)
+    return build_plan(IMAGE, [component], CONFIG, edb_id=edb_id, title=title)
 
 
 def theme_plan(edb_id: int = 502) -> EnvironmentPlan:
     title = "WordPress Theme Clean Portfolio 1.4 - Arbitrary File Upload"
     component = make_component("clean-portfolio", kind=ComponentKind.THEME)
-    return build_plan(parse_title(title), IMAGE, [component], CONFIG, edb_id=edb_id, title=title)
+    return build_plan(IMAGE, [component], CONFIG, edb_id=edb_id, title=title)
 
 
 WP = ["wp", "--allow-root", "--path=/var/www/html"]
@@ -127,7 +126,7 @@ class TestBuildPlan:
     def test_components_are_set_up_in_resolution_order(self):
         title = "WordPress Plugin Sample 1.0 - SQL Injection"
         components = [make_component("zeta"), make_component("alpha", kind=ComponentKind.THEME)]
-        plan = build_plan(parse_title(title), IMAGE, components, CONFIG, edb_id=505, title=title)
+        plan = build_plan(IMAGE, components, CONFIG, edb_id=505, title=title)
         assert setup_commands(plan)[2:] == [
             ["test", "-e", "/var/www/html/wp-content/plugins/zeta"],
             WP + ["plugin", "activate", "zeta"],
@@ -141,7 +140,6 @@ class TestPlanInvariants:
         component = make_component("twin")
         with pytest.raises(ValueError, match="unique"):
             build_plan(
-                parse_title("WordPress Plugin Twin 1.0 - XSS"),
                 IMAGE,
                 [component, component],
                 CONFIG,
@@ -179,7 +177,7 @@ class TestStepRendering:
     def test_step_line_is_shell_safe(self, tmp_path):
         site = replace(CONFIG.site, admin_password="pw with 'quotes'; rm -rf /")
         title = "WordPress Core < 4.7.1 - Content Injection"
-        plan = build_plan(parse_title(title), IMAGE, [], replace(CONFIG, site=site), edb_id=500, title=title)
+        plan = build_plan(IMAGE, [], replace(CONFIG, site=site), edb_id=500, title=title)
         assert setup_commands(plan)[1][-1] == "--user_pass=pw with 'quotes'; rm -rf /"
         emit(plan, tmp_path / "bundle")
         body = (tmp_path / "bundle" / "setup.sh").read_text(encoding="utf-8")
@@ -336,7 +334,7 @@ class TestExactAtomicEmission:
         (payload / "inc-extra.php").write_bytes(b"<?php // sorts after inc/ by path parts\n")
         (payload / "inc" / "deep" / "b.js").write_bytes(bytes(range(256)))
         title = "WordPress Plugin Nested 1.0 - XSS"
-        plan = build_plan(parse_title(title), IMAGE, [make_component("nested")], CONFIG, edb_id=7, title=title)
+        plan = build_plan(IMAGE, [make_component("nested")], CONFIG, edb_id=7, title=title)
         manifest = emit_bundle(plan, bundle, generated_at=STAMP)
         assert files_on_disk(bundle) == set(manifest.digest_map())
         for entry in manifest.files:
@@ -524,7 +522,7 @@ class TestComposeSubset:
     def test_every_database_value_reads_back_as_itself(self, values):
         config = GeneratorConfig(database=DatabaseSpec(**values))
         title = "WordPress Core < 4.7.1 - Content Injection"
-        plan = build_plan(parse_title(title), IMAGE, [], config, edb_id=500, title=title)
+        plan = build_plan(IMAGE, [], config, edb_id=500, title=title)
         with tempfile.TemporaryDirectory() as tmp:
             emit(plan, Path(tmp) / "bundle")
             text = (Path(tmp) / "bundle" / "docker-compose.yml").read_text(encoding="utf-8")
@@ -571,7 +569,6 @@ def provenance_plans(draw) -> EnvironmentPlan:
     ]
     image = ImageRef(draw(_texts), draw(_texts), Version.parse("5.0"))
     return build_plan(
-        parse_title("WordPress Plugin Sample 1.0 - XSS"),
         image,
         components,
         CONFIG,
@@ -613,7 +610,7 @@ class TestProvenanceRendering:
         assert _render_provenance(core, STAMP) == reference_provenance(core, STAMP)
         component = replace(make_component("sample"), version=None)
         title = "WordPress Plugin Sample - XSS"
-        plan = build_plan(parse_title(title), IMAGE, [component], CONFIG, edb_id=9, title=title)
+        plan = build_plan(IMAGE, [component], CONFIG, edb_id=9, title=title)
         assert '"version": null' in _render_provenance(plan, STAMP)
         assert _render_provenance(plan, STAMP) == reference_provenance(plan, STAMP)
 
@@ -643,7 +640,7 @@ class TestBundleManifest:
         (payload / "a-b" / "x.php").write_bytes(b"<?php // x\n")
         (payload / "a" / "y.php").write_bytes(b"<?php // y\n")
         title = "WordPress Plugin Nested 1.0 - XSS"
-        plan = build_plan(parse_title(title), IMAGE, [make_component("nested")], CONFIG, edb_id=7, title=title)
+        plan = build_plan(IMAGE, [make_component("nested")], CONFIG, edb_id=7, title=title)
         return emit_bundle(plan, bundle, generated_at=STAMP)
 
     def test_a_manifest_read_back_from_a_row_equals_the_emitted_one(self, tmp_path):
