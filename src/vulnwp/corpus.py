@@ -228,7 +228,8 @@ def _read_index(index_path: Path) -> Iterator[tuple[int, list[str]]]:
     """The index's rows, each with the line it starts on, read one at a time
     as they are asked for: first its header row (line 1), blank or not,
     then each non-blank row. Raises IndexUnreadableError when the index
-    cannot be read or is not valid CSV."""
+    cannot be read or is not valid UTF-8 CSV. The text is decoded in chunks,
+    so an undecodable byte is not placed on a line."""
     try:
         with index_path.open(newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
@@ -242,6 +243,8 @@ def _read_index(index_path: Path) -> Iterator[tuple[int, list[str]]]:
         raise IndexUnreadableError(f"cannot read index {index_path}: {exc}") from exc
     except csv.Error as exc:
         raise IndexUnreadableError(f"index {index_path} is not valid CSV: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IndexUnreadableError(f"index {index_path} is not UTF-8 text: {exc.reason}") from exc
 
 
 def _read_poc_head(path: str) -> tuple[str, list[str]] | None:

@@ -100,10 +100,23 @@ class GenerationMode(Enum):
     EMIT_AND_BOOTSTRAP = "bootstrap"
 
 
+_REASON_RULE = "failures carry a reason, successes do not"
+
+
 @dataclass(frozen=True)
 class GenerationOutcome:
     """What happened to one record, success or failure; reporting.render_row
-    writes it as an outcome row."""
+    writes it as an outcome row.
+
+    reporting.read_outcomes builds the outcomes it reads back through the
+    private constructor _filled, which checks what __post_init__ checks and
+    puts the fields straight into the instance's dict, skipping the nine
+    object.__setattr__ calls of the frozen initializer. Such an instance is
+    equal, hashes and prints as one the constructor builds, and refuses
+    assignment the same way, but on Python 3.11 it carries its own dict
+    (about 64 B more). So only the reader, whose rows live as long as a
+    report takes, uses it; the pipeline calls the constructor.
+    """
 
     edb_id: int
     status: OutcomeStatus
@@ -117,7 +130,38 @@ class GenerationOutcome:
 
     def __post_init__(self) -> None:
         if (self.status is OutcomeStatus.FAILURE) != (self.reason is not None):
-            raise ValueError("failures carry a reason, successes do not")
+            raise ValueError(_REASON_RULE)
+
+    @classmethod
+    def _filled(
+        cls,
+        edb_id: int,
+        status: OutcomeStatus,
+        elapsed: float,
+        reason: FailureReason | None,
+        manifest: BundleManifest | None,
+        image: str | None,
+        sources: tuple[str, ...],
+        unused_app_archive: str | None,
+    ) -> GenerationOutcome:
+        """The outcome cls(edb_id, status, elapsed, reason, None, manifest,
+        image, sources, unused_app_archive) would be, with no plan; raises
+        the same ValueError for a failure without a reason or a success
+        with one."""
+        if (status is OutcomeStatus.FAILURE) != (reason is not None):
+            raise ValueError(_REASON_RULE)
+        outcome = object.__new__(cls)
+        fields = outcome.__dict__
+        fields["edb_id"] = edb_id
+        fields["status"] = status
+        fields["elapsed"] = elapsed
+        fields["reason"] = reason
+        fields["plan"] = None
+        fields["manifest"] = manifest
+        fields["image"] = image
+        fields["sources"] = sources
+        fields["unused_app_archive"] = unused_app_archive
+        return outcome
 
     @property
     def is_success(self) -> bool:

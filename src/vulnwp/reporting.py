@@ -192,6 +192,7 @@ _FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _STATUS_BY_VALUE = {status.value: status for status in OutcomeStatus}
 _REASON_BY_VALUE = {reason.value: reason for reason in FailureReason}
 _STR_TYPE = {str}
+_filled_outcome = GenerationOutcome._filled
 
 
 def _wrong_type(name: str, wanted: str, value: object) -> TypeError:
@@ -271,11 +272,14 @@ def _from_row(payload: dict) -> GenerationOutcome:
     """Rebuild the outcome a row holds.
 
     The plan does not round-trip; everything reporting needs (status,
-    reason, sources, digests) does. The manifest is the row's directory
-    string and its digest map itself, not a copy; no Path is built and
-    nothing is sorted. Raises KeyError for a missing key, TypeError naming
-    the field for a value of the wrong type, and ValueError for an unknown
-    status or reason or a failure without a reason.
+    reason, sources, digests) does. Each field gets one type check, and the
+    outcome is built by GenerationOutcome._filled, which checks what the
+    constructor checks without running the frozen initializer. The manifest
+    is the row's directory string and its digest map itself, not a copy; no
+    Path is built and nothing is sorted. Raises KeyError for a missing key,
+    TypeError naming the field for a value of the wrong type, and
+    ValueError for an unknown status or reason or a failure without a
+    reason.
     """
     get = payload.get
     edb_id = payload["edb_id"]
@@ -298,7 +302,7 @@ def _from_row(payload: dict) -> GenerationOutcome:
         raise _wrong_type("image", "a string or null", image)
     if archive is not None and type(archive) is not str:
         raise _wrong_type("unused_app_archive", "a string or null", archive)
-    if type(sources) is not list or not set(map(type, sources)) <= _STR_TYPE:
+    if type(sources) is not list or (sources and not set(map(type, sources)) <= _STR_TYPE):
         raise _wrong_type("sources", "a list of strings", sources)
     if bundle is not None and type(bundle) is not dict:
         raise _wrong_type("bundle", "an object or null", bundle)
@@ -315,12 +319,11 @@ def _from_row(payload: dict) -> GenerationOutcome:
         manifest = BundleManifest(bundle_dir, files)
     # Dict lookups stand in for the enum calls, which still run (and
     # raise) for a value no member has.
-    return GenerationOutcome(
+    return _filled_outcome(
         edb_id,
         _STATUS_BY_VALUE.get(status) or OutcomeStatus(status),
         elapsed,
         (_REASON_BY_VALUE.get(reason) or FailureReason(reason)) if reason else None,
-        None,
         manifest,
         image,
         tuple(sources),
@@ -360,8 +363,14 @@ def read_outcomes(path: Path | str) -> list[GenerationOutcome]:
     gets json.loads's message and its column on the line. Each row's
     manifest is the row's directory string and digest map, with no Path
     built and nothing sorted.
+
+    Each row is one call of the decoder's C scanner, which raises
+    json.loads's error for text that is not JSON, apart from a row that
+    does not start with a JSON value, which raw_decode then refuses with
+    its own message.
     """
     path = Path(path)
+    scan = _ROW_DECODER.scan_once
     raw_decode = _ROW_DECODER.raw_decode
     from_row = _from_row
     outcomes = []
@@ -377,10 +386,16 @@ def read_outcomes(path: Path | str) -> list[GenerationOutcome]:
                     # A surrogate is never ASCII.
                     if not row.isascii():
                         row.encode("utf-8")
-                    # The row is stripped, so its value starts at 0. What
-                    # follows the value is refused as JSONDecoder.decode
-                    # refuses it, at the first byte past JSON whitespace.
-                    payload, end = raw_decode(row)
+                    # The row is stripped, so its value starts at 0. The
+                    # scanner raises StopIteration when no value starts
+                    # there, and raw_decode turns that into its
+                    # "Expecting value" error. What follows the value is
+                    # refused as JSONDecoder.decode refuses it, at the first
+                    # byte past JSON whitespace.
+                    try:
+                        payload, end = scan(row, 0)
+                    except StopIteration:
+                        payload, end = raw_decode(row)
                     if end != len(row):
                         rest = row[end:]
                         end += len(rest) - len(rest.lstrip(" \t\n\r"))

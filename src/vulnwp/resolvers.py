@@ -255,6 +255,8 @@ class DiskSvnMirror(SvnMirror):
 
     Layout: <plugins_root>/<slug>/tags/<version>/... and the same under
     <themes_root>. Access is plain directory retrieval, no VCS client.
+    Files are copied by content only, so each gets a new file's mode and
+    mtime, as HttpSvnMirror's downloads do, not the fixture file's.
     """
 
     def __init__(self, plugins_root: Path | str, themes_root: Path | str) -> None:
@@ -270,7 +272,7 @@ class DiskSvnMirror(SvnMirror):
         if not source.is_dir() or not any(source.iterdir()):
             return None
         try:
-            shutil.copytree(source, dest)
+            shutil.copytree(source, dest, copy_function=shutil.copyfile)
         except OSError as exc:
             raise FetchError(f"copying {source} failed: {exc}") from exc
         return str(source)

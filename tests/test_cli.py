@@ -366,6 +366,21 @@ class TestBatchAndStats:
         assert code == 1
         assert capsys.readouterr().err == "error: row 2: lacks columns: author, platform, type\n"
 
+    def test_index_that_is_not_utf8_is_a_usage_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        index = corpus / "files_exploits.csv"
+        index.write_bytes(
+            b"id,file,description,date,author,type,platform,codes\n"
+            b"1,x.txt,WordPress Core 4.7 - XSS \xff,2017-01-01,a,webapps,php,\n"
+        )
+        code = main(["--corpus", str(corpus), "stats", os.devnull])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: index {index} is not UTF-8 text: invalid start byte\n"
+        assert "Traceback" not in captured.err
+
 
 def read_ids(reads: list[str]) -> list[int]:
     """The exploit ids of PoCs read, for trees that name PoCs exploits/<id>.txt."""

@@ -359,6 +359,24 @@ class TestLoadCorpus:
         assert record.poc_text == text
         assert extract_version_from_poc(record) == VersionConstraint.exact(Version.parse("4.2"))
 
+    @pytest.mark.parametrize(
+        "index_bytes",
+        [
+            b"id,fi\xffle,description,date,author,type,platform,codes\n"
+            b"1,exploits/1.txt,Title,2018-03-05,a,webapps,php,\n",
+            b"id,file,description,date,author,type,platform,codes\n"
+            b"1,exploits/1.txt,Ti\xfftle,2018-03-05,a,webapps,php,\n",
+        ],
+        ids=["header", "row"],
+    )
+    def test_index_that_is_not_utf8_raises_naming_the_index(self, tmp_path, index_bytes):
+        path = tmp_path / "files_exploits.csv"
+        path.write_bytes(index_bytes)
+        with pytest.raises(IndexUnreadableError) as excinfo:
+            load_corpus(path, tmp_path)
+        assert str(excinfo.value) == f"index {path} is not UTF-8 text: invalid start byte"
+        assert isinstance(excinfo.value.__cause__, UnicodeDecodeError)
+
     def test_utf8_bom_index_loads(self, tmp_path):
         path = tmp_path / "files_exploits.csv"
         body = ",".join(INDEX_COLUMNS) + "\n1,exploits/1.txt,Title,2018-03-05,a,webapps,php,\n"

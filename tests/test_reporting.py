@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vulnwp.cli import main
 from vulnwp.errors import UnknownRecordError, VulnwpError
 from vulnwp.iac import BundleManifest
 from vulnwp.pipeline import FailureReason, GenerationOutcome, OutcomeStatus
@@ -26,6 +27,8 @@ from vulnwp.reporting import (
 from vulnwp.resolvers import TagIndex
 
 from conftest import E2E_BY_REASON, E2E_BY_SOURCE, E2E_EXPECTED, E2E_SUCCESS_COUNT
+
+_DEMO_DIR = Path(__file__).resolve().parent.parent / "data" / "demo"
 
 
 # Path segments mix "-", "." and non-ASCII text with U+2028, which
@@ -405,6 +408,78 @@ class TestOutcomePersistence:
         assert list(tmp_path.iterdir()) == []
 
 
+_OUTCOME_FIELDS = [f.name for f in dataclasses.fields(GenerationOutcome)]
+
+
+def assert_behaves_as_constructed(loaded: GenerationOutcome) -> None:
+    """A read-back outcome is what the constructor builds from its field
+    values: equal, with the same hash and repr and the same value in every
+    field, frozen, and copied by dataclasses.replace through the
+    constructor's check."""
+    values = [getattr(loaded, name) for name in _OUTCOME_FIELDS]
+    built = GenerationOutcome(*values)
+    assert type(loaded) is GenerationOutcome
+    assert loaded.plan is None
+    # Compared by identity, so a NaN elapsed counts as equal to itself.
+    assert all(getattr(built, name) is value for name, value in zip(_OUTCOME_FIELDS, values))
+    assert list(vars(loaded)) == _OUTCOME_FIELDS
+    assert all(vars(loaded)[name] is value for name, value in zip(_OUTCOME_FIELDS, values))
+    assert loaded == built and built == loaded
+    assert hash(loaded) == hash(built)
+    assert repr(loaded) == repr(built)
+    assert loaded.is_success is built.is_success
+    for name in _OUTCOME_FIELDS:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(loaded, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(loaded, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        loaded.extra = 1
+    assert [getattr(loaded, name) for name in _OUTCOME_FIELDS] == values
+    copied = dataclasses.replace(loaded)
+    assert type(copied) is GenerationOutcome and copied == built
+    moved = dataclasses.replace(loaded, edb_id=loaded.edb_id + 1)
+    assert moved == dataclasses.replace(built, edb_id=built.edb_id + 1)
+    flipped = OutcomeStatus.SUCCESS if loaded.reason else OutcomeStatus.FAILURE
+    with pytest.raises(ValueError, match="^failures carry a reason, successes do not$"):
+        dataclasses.replace(loaded, status=flipped)
+
+
+class TestReadBackOutcomes:
+    """Read-back outcomes behave exactly as constructor-built ones."""
+
+    def test_demo_rows_read_back_as_constructed_outcomes(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        demo = ["--corpus", str(_DEMO_DIR / "corpus"), "--fixtures", str(_DEMO_DIR / "fixtures")]
+        assert main(demo + ["--out", str(out), "batch"]) == 0
+        capsys.readouterr()
+        path = out / "outcomes.ndjson"
+        loaded = read_outcomes(path)
+        assert [encoded(o) + "\n" for o in loaded] == path.read_text(encoding="utf-8").splitlines(True)
+        assert len(loaded) == 3
+        for outcome in loaded:
+            assert_behaves_as_constructed(outcome)
+
+    def test_fixture_rows_read_back_as_the_outcomes_batch_built(self, batch, tmp_path):
+        _, written = batch
+        path = tmp_path / "outcomes.ndjson"
+        write_outcomes(written, path)
+        for outcome, original in zip(read_outcomes(path), written, strict=True):
+            assert_behaves_as_constructed(outcome)
+            assert outcome == dataclasses.replace(original, plan=None)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(outcomes(), max_size=8))
+    def test_any_written_row_reads_back_as_a_constructed_outcome(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "outcomes.ndjson"
+            write_outcomes(rows, path)
+            loaded = read_outcomes(path)
+        assert [encoded(o) for o in loaded] == [encoded(o) for o in rows]
+        for outcome in loaded:
+            assert_behaves_as_constructed(outcome)
+
+
 class TestReadingOtherRows:
     """Rows write_outcomes does not write: what loads as before, and what is
     refused with the file and line."""
@@ -477,6 +552,10 @@ class TestReadingOtherRows:
              "line 3: 'nope' is not a valid FailureReason"),
             ('{"edb_id": 1, "status": "failure", "elapsed": 0.5}',
              "line 3: failures carry a reason, successes do not"),
+            ('{"edb_id": 1, "status": "success", "reason": "no-image", "elapsed": 0.5}',
+             "line 3: failures carry a reason, successes do not"),
+            ("row", "line 3 column 1: Expecting value"),
+            ('   x{"edb_id": 1, "status": "success", "elapsed": 0.5}', "line 3 column 4: Expecting value"),
             ('{"edb_id": 1, "status": ["success"], "elapsed": 0.5}',
              "line 3: status must be a string, not list"),
             ('{"edb_id": "202", "status": "success", "elapsed": 0.5}',

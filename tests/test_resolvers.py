@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import os
 import random
 import re
+import stat
 import zipfile
 from pathlib import Path
 
@@ -341,6 +343,24 @@ class TestDiskSvnMirror:
         assert mirror.export(ComponentKind.PLUGIN, "quiz-master", ver("9.9"), tmp_path / "a") is None
         assert mirror.export(ComponentKind.PLUGIN, "unknown", ver("1.0"), tmp_path / "b") is None
         assert mirror.export(ComponentKind.THEME, "quiz-master", ver("7.1.3"), tmp_path / "c") is None
+
+    def test_exported_files_get_a_new_files_mode_and_mtime(self, tmp_path):
+        tag = tmp_path / "plugins" / "locked" / "tags" / "1.0"
+        tag.mkdir(parents=True)
+        (tmp_path / "themes").mkdir()
+        fixture = tag / "locked.php"
+        fixture.write_bytes(b"<?php // locked\n")
+        fixture.chmod(0o700)
+        os.utime(fixture, (1_000_000_000, 1_000_000_000))
+        fresh = tmp_path / "fresh"
+        fresh.write_bytes(b"")
+        mirror = DiskSvnMirror(tmp_path / "plugins", tmp_path / "themes")
+        dest = tmp_path / "out"
+        assert mirror.export(ComponentKind.PLUGIN, "locked", ver("1.0"), dest) == str(tag)
+        copied = dest / "locked.php"
+        assert copied.read_bytes() == fixture.read_bytes()
+        assert stat.S_IMODE(copied.stat().st_mode) == stat.S_IMODE(fresh.stat().st_mode) != 0o700
+        assert copied.stat().st_mtime != 1_000_000_000
 
     def test_empty_tag_directory_is_a_miss(self, tmp_path):
         (tmp_path / "plugins" / "hollow" / "tags" / "1.0").mkdir(parents=True)
