@@ -1,16 +1,17 @@
 """Generate one reproducible environment per exploit record.
 
-The control flow: classify the title; resolve the vulnerable version
-(title first, then PoC, then the CPE dictionary when CVE ids exist);
-records with no version and no attached application stop early. Core
-exploits resolve a base image for their version; plugin and theme
-exploits fetch the extension payload through the ordered source
-fallback, straight into the bundle's staging directory. Whatever
-resolves is emitted as a container bundle, which is renamed into place
-whole. In bootstrap mode the same call then builds the bundle's image,
-starts its stack, polls it ready and configures it, all through the
-injected executor and readiness client; any failure there is
-error-during-setup.
+Each record goes through two steps. resolve decides, calling only the
+registry and CPE clients and writing nothing: it classifies the title,
+resolves the vulnerable version (title first, then PoC, then the CPE
+dictionary when CVE ids exist), stops records with no version and no
+attached application, and picks the base image and, for a plugin or
+theme, the payload's slug and checkout version. generate then stages the
+bundle, fetches the extension payload through the ordered source
+fallback straight into the staging directory, and emits the bundle,
+which is renamed into place whole. In bootstrap mode the same call then
+builds the bundle's image, starts its stack, polls it ready and
+configures it, all through the injected executor and readiness client;
+any failure there is error-during-setup.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .iac import (
 )
 from .resolvers import (
     ComponentKind,
+    ImageRef,
     SourceClients,
     TagIndex,
     derive_slug,
@@ -70,9 +72,9 @@ __all__ = [
     "GenerationMode",
     "GenerationOutcome",
     "PipelineServices",
+    "Resolution",
     "generate",
-    "resolve_constraint",
-    "concrete_version",
+    "resolve",
 ]
 
 _CATEGORY_TO_KIND = {
@@ -187,23 +189,6 @@ class PipelineServices:
     executor: CommandExecutor | None = None
 
 
-def concrete_version(constraint: VersionConstraint | None) -> Version | None:
-    """Choose the checkout version a constraint points at.
-
-    Exact and inclusive bounds name a vulnerable version directly; a set
-    takes its highest member. An exclusive bound names a version that is
-    not itself vulnerable, so no concrete version is returned and the SVN
-    path falls back to trunk.
-    """
-    if constraint is None:
-        return None
-    if constraint.kind is ConstraintKind.UPPER_BOUND_EXCLUSIVE:
-        return None
-    if constraint.kind is ConstraintKind.SET:
-        return max(constraint.versions)
-    return constraint.versions[0]
-
-
 def resolve_constraint(
     record: ExploitRecord,
     parsed: ParsedTitle,
@@ -249,82 +234,107 @@ def resolve_constraint(
     return VersionConstraint.version_set(versions)
 
 
+@dataclass(frozen=True)
+class Resolution:
+    """What resolve decided for one record: the reason it stops, or its base
+    image and, for a plugin or theme, the payload's kind, slug and checkout
+    version (None means trunk). A core record's attached archive is
+    unused_app_archive either way."""
+
+    reason: FailureReason | None = None
+    image: ImageRef | None = None
+    kind: ComponentKind | None = None
+    slug: str | None = None
+    version: Version | None = None
+    unused_app_archive: str | None = None
+
+
+def resolve(record: ExploitRecord, services: PipelineServices) -> Resolution:
+    """Decide what a record's environment needs, or why it stops, calling
+    only the registry and CPE clients; nothing is written or fetched.
+
+    No version stops a core record, and an extension record without an
+    attached archive. The checkout version is an exact or inclusive
+    version, a set's highest member, or None for "< v", which names no
+    vulnerable version.
+    """
+    parsed = parse_title(record.title)
+    if parsed.category is ExploitCategory.UNCATEGORIZED:
+        return Resolution(FailureReason.UNPARSABLE_TITLE)
+    kind = _CATEGORY_TO_KIND.get(parsed.category)  # None for core
+
+    constraint = resolve_constraint(record, parsed, services.cpe)
+    has_archive = record.app_archive is not None and record.app_archive.is_file()
+    # The version names the core itself; an attached archive cannot
+    # substitute for it and is recorded as unused either way.
+    unused = str(record.app_archive) if kind is None and has_archive else None
+
+    if constraint is None and (kind is None or not has_archive):
+        reason = FailureReason.UNKNOWN_VERSION if kind is None else FailureReason.NO_VULNERABLE_APPLICATION
+        return Resolution(reason, unused_app_archive=unused)
+    try:
+        image = (find_core_image(constraint, services.registry) if kind is None
+                 else find_latest_image(services.registry))
+    except NoImageError as exc:
+        logger.info("no image for exploit %s: %s", record.edb_id, exc)
+        return Resolution(FailureReason.NO_IMAGE, unused_app_archive=unused)
+    if kind is None:
+        return Resolution(image=image, unused_app_archive=unused)
+
+    try:
+        slug = derive_slug(parsed.product or "")
+    except EmptySlugError:
+        return Resolution(FailureReason.NO_VULNERABLE_APPLICATION)
+    trunk = constraint is None or constraint.kind is ConstraintKind.UPPER_BOUND_EXCLUSIVE
+    return Resolution(image=image, kind=kind, slug=slug, version=None if trunk else max(constraint.versions))
+
+
 def generate(
     record: ExploitRecord,
     services: PipelineServices,
     mode: GenerationMode = GenerationMode.EMIT_ONLY,
 ) -> GenerationOutcome:
-    """Run the full per-record flow and encode the result as an outcome.
+    """Resolve a record, then stage, fetch, emit and, in bootstrap mode,
+    bring up its environment; encode the result as an outcome.
 
     All expected failures land in the outcome's reason; the call itself
-    does not raise for them. Until the bundle is renamed into place, nothing
-    is written outside the staging directory iac.stage_bundle prepares,
-    which a failed fetch or emission removes again.
+    does not raise for them. It raises ValueError, before anything else,
+    when bootstrap mode lacks a readiness client or an executor. Until the
+    bundle is renamed into place, nothing is written outside the staging
+    directory iac.stage_bundle prepares, which a failed fetch or emission
+    removes again.
     """
+    bootstrap = mode is GenerationMode.EMIT_AND_BOOTSTRAP
+    if bootstrap and (services.readiness is None or services.executor is None):
+        raise ValueError("bootstrap mode needs a readiness client and an executor")
     start = services.clock.monotonic()
+    resolution = resolve(record, services)
 
-    def failure(reason: FailureReason, unused_archive: str | None = None) -> GenerationOutcome:
+    def failure(reason: FailureReason) -> GenerationOutcome:
         logger.info("exploit %s failed: %s", record.edb_id, reason.value)
         return GenerationOutcome(
             edb_id=record.edb_id,
             status=OutcomeStatus.FAILURE,
             elapsed=services.clock.monotonic() - start,
             reason=reason,
-            unused_app_archive=unused_archive,
+            unused_app_archive=resolution.unused_app_archive,
         )
 
-    parsed = parse_title(record.title)
-    if parsed.category is ExploitCategory.UNCATEGORIZED:
-        return failure(FailureReason.UNPARSABLE_TITLE)
+    if resolution.reason is not None:
+        return failure(resolution.reason)
 
     bundle_dir = services.out_dir / str(record.edb_id)
-
-    constraint = resolve_constraint(record, parsed, services.cpe)
-    has_archive = record.app_archive is not None and record.app_archive.is_file()
-    archive_name = str(record.app_archive) if has_archive else None
-
-    if parsed.category is ExploitCategory.CORE:
-        # The version names the core itself; an attached archive cannot
-        # substitute for it and is recorded as unused either way.
-        if constraint is None:
-            return failure(FailureReason.UNKNOWN_VERSION, unused_archive=archive_name)
-        try:
-            image = find_core_image(constraint, services.registry)
-        except NoImageError as exc:
-            logger.info("no image for exploit %s: %s", record.edb_id, exc)
-            return failure(FailureReason.NO_IMAGE, unused_archive=archive_name)
-        slugs: tuple[str, ...] = ()
-        unused_archive = archive_name
-    else:
-        if constraint is None and not has_archive:
-            return failure(FailureReason.NO_VULNERABLE_APPLICATION)
-        try:
-            image = find_latest_image(services.registry)
-        except NoImageError as exc:
-            logger.info("no image for exploit %s: %s", record.edb_id, exc)
-            return failure(FailureReason.NO_IMAGE)
-        try:
-            slugs = (derive_slug(parsed.product or ""),)
-        except EmptySlugError:
-            return failure(FailureReason.NO_VULNERABLE_APPLICATION)
-        unused_archive = None
-
+    slug = resolution.slug
     try:
-        dests = stage_bundle(bundle_dir, slugs)
+        dests = stage_bundle(bundle_dir, () if slug is None else (slug,))
     except OSError as exc:
         logger.error("staging directory for exploit %s unusable: %s", record.edb_id, exc)
-        return failure(FailureReason.ERROR_DURING_SETUP, unused_archive=unused_archive)
-    components = []
-    for slug, dest in zip(slugs, dests):
+        return failure(FailureReason.ERROR_DURING_SETUP)
+    components = ()
+    if slug is not None:
         try:
-            components.append(fetch_component(
-                kind=_CATEGORY_TO_KIND[parsed.category],
-                slug=slug,
-                version=concrete_version(constraint),
-                record=record,
-                sources=services.sources,
-                dest=dest,
-            ))
+            components = (fetch_component(kind=resolution.kind, slug=slug, version=resolution.version,
+                                          record=record, sources=services.sources, dest=dests[0]),)
         except (NoVulnerableApplicationError, FetchError) as exc:
             discard_staging(bundle_dir)
             if isinstance(exc, NoVulnerableApplicationError):
@@ -332,29 +342,21 @@ def generate(
             logger.warning("fetch for exploit %s broke: %s", record.edb_id, exc)
             return failure(FailureReason.FETCH_FAILURE)
 
-    plan = build_plan(
-        image,
-        components,
-        services.config,
-        edb_id=record.edb_id,
-        title=record.title,
-        unused_app_archive=unused_archive,
-    )
+    plan = build_plan(resolution.image, components, services.config, edb_id=record.edb_id,
+                      title=record.title, unused_app_archive=resolution.unused_app_archive)
     try:
         manifest = emit_bundle(plan, bundle_dir, generated_at=services.clock.now())
     except BundleWriteError as exc:
         logger.error("bundle for exploit %s not written: %s", record.edb_id, exc)
-        return failure(FailureReason.ERROR_DURING_SETUP, unused_archive=unused_archive)
+        return failure(FailureReason.ERROR_DURING_SETUP)
 
-    if mode is GenerationMode.EMIT_AND_BOOTSTRAP:
-        if services.readiness is None or services.executor is None:
-            raise ValueError("bootstrap mode needs a readiness client and an executor")
+    if bootstrap:
         try:
             bring_up(plan, bundle_dir, services.executor, services.readiness,
                      services.clock, services.config)
         except (BootstrapTimeoutError, SetupStepFailedError) as exc:
             logger.warning("bootstrap of exploit %s failed: %s", record.edb_id, exc)
-            return failure(FailureReason.ERROR_DURING_SETUP, unused_archive=unused_archive)
+            return failure(FailureReason.ERROR_DURING_SETUP)
 
     return GenerationOutcome(
         edb_id=record.edb_id,
@@ -364,5 +366,5 @@ def generate(
         manifest=manifest,
         image=str(plan.base_image),
         sources=tuple(c.source.kind.value for c in plan.components),
-        unused_app_archive=unused_archive,
+        unused_app_archive=resolution.unused_app_archive,
     )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,20 +15,23 @@ from vulnwp.pipeline import (
     GenerationOutcome,
     OutcomeStatus,
     PipelineServices,
-    concrete_version,
     generate,
+    resolve,
     resolve_constraint,
 )
 from vulnwp.reporting import read_outcomes, run_batch, write_outcomes
 from vulnwp.resolvers import (
     DiskSvnMirror,
     DockerHubTagIndex,
+    FixtureTagIndex,
     HttpSvnMirror,
+    LinkDownloader,
     SourceClients,
     SvnMirror,
+    TagIndex,
 )
 from vulnwp.titles import parse_title
-from vulnwp.versions import FixtureCpeDictionary, Version, VersionConstraint, parse_version_expr
+from vulnwp.versions import FixtureCpeDictionary, Version, VersionConstraint
 
 from conftest import E2E_EXPECTED, make_record
 from test_bootstrap import RecordingExecutor, ScriptedClient
@@ -35,23 +39,6 @@ from test_bootstrap import RecordingExecutor, ScriptedClient
 
 def ver(text: str) -> Version:
     return Version.parse(text)
-
-
-class TestConcreteVersion:
-    def test_exact_names_the_version(self):
-        assert concrete_version(parse_version_expr("4.7")) == ver("4.7")
-
-    def test_inclusive_bound_names_its_boundary(self):
-        assert concrete_version(parse_version_expr("<= 3.4")) == ver("3.4")
-
-    def test_set_takes_its_highest_member(self):
-        assert concrete_version(parse_version_expr("4.7.0/4.7.1")) == ver("4.7.1")
-
-    def test_exclusive_bound_names_nothing(self):
-        assert concrete_version(parse_version_expr("< 2.0")) is None
-
-    def test_none_passes_through(self):
-        assert concrete_version(None) is None
 
 
 class TestResolveConstraint:
@@ -130,6 +117,71 @@ def services(e2e_tree, tmp_path):
     return e2e_tree.services(tmp_path / "out", tmp_path / "work")
 
 
+class UncalledSvnMirror(SvnMirror):
+    def export(self, kind, slug, version, dest):
+        raise AssertionError(f"SVN export of {slug}")
+
+
+class UncalledLinkDownloader(LinkDownloader):
+    def fetch(self, url, dest):
+        raise AssertionError(f"link fetch of {url}")
+
+
+class UnlistedTagIndex(TagIndex):
+    def list_tags(self):
+        raise AssertionError("the registry was listed")
+
+
+class TestResolve:
+    @pytest.mark.parametrize("version_expr, expected", [
+        ("4.7", "4.7"),
+        ("<= 3.4", "3.4"),
+        ("4.7.0/4.7.1", "4.7.1"),
+        ("< 2.0", None),  # names no vulnerable version, so the checkout is trunk
+        (None, None),  # versionless, resolved through its attached archive
+    ])
+    def test_checkout_version(self, services, tmp_path, version_expr, expected):
+        archive = tmp_path / "sample.zip"
+        archive.write_bytes(b"")
+        title = f"WordPress Plugin Sample {version_expr or ''} - SQL Injection".replace("  ", " ")
+        resolution = resolve(make_record(title=title, app_archive=archive), services)
+        assert resolution.reason is None
+        assert resolution.slug == "sample"
+        assert resolution.version == (ver(expected) if expected else None)
+
+    @pytest.mark.parametrize("edb_id", sorted(E2E_EXPECTED))
+    def test_decides_without_fetching_or_writing(self, e2e_tree, e2e_corpus, tmp_path, edb_id):
+        out_dir = tmp_path / "absent"
+        services = replace(
+            e2e_tree.services(out_dir, tmp_path / "work"),
+            sources=SourceClients(svn=UncalledSvnMirror(), link=UncalledLinkDownloader()),
+        )
+        resolution = resolve(e2e_corpus.records[edb_id], services)
+        status, reason, image, _ = E2E_EXPECTED[edb_id]
+        # 106 and 115 find no payload and 116 a corrupt one, all at the fetch.
+        if edb_id in (106, 115, 116):
+            assert (resolution.reason, str(resolution.image)) == (None, "wordpress:5.0")
+        elif status == "success":
+            assert (resolution.reason, str(resolution.image)) == (None, image)
+        else:
+            assert (resolution.reason.value, resolution.image) == (reason, None)
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("title, archived, reason", [
+        ("WordPress Core - Denial of Service", False, FailureReason.UNKNOWN_VERSION),
+        ("WordPress Plugin Sample - SQL Injection", False, FailureReason.NO_VULNERABLE_APPLICATION),
+        ("WordPress Plugin !!! 1.0 - SQL Injection", False, FailureReason.NO_IMAGE),
+        ("WordPress Core 4.7 - Cross-Site Scripting", True, FailureReason.NO_IMAGE),
+    ])
+    def test_reason_on_an_empty_registry(self, services, tmp_path, title, archived, reason):
+        archive = tmp_path / "poc.zip"
+        archive.write_bytes(b"")
+        record = make_record(title=title, app_archive=archive if archived else None)
+        resolution = resolve(record, replace(services, registry=FixtureTagIndex([])))
+        assert resolution.reason is reason
+        assert resolution.unused_app_archive == (str(archive) if archived else None)
+
+
 class TestGenerateAcrossCorpus:
     @pytest.mark.parametrize("edb_id", sorted(E2E_EXPECTED))
     def test_record_resolves_as_expected(self, e2e_corpus, services, edb_id):
@@ -202,8 +254,12 @@ class TestGenerateEdges:
             assert outcome.reason is FailureReason.ERROR_DURING_SETUP, edb_id
 
     def test_bootstrap_mode_requires_clients(self, e2e_corpus, services):
+        # Refused before the record is resolved: no registry listing, no
+        # bundle and no staging directory.
+        services.registry = UnlistedTagIndex()
         with pytest.raises(ValueError):
-            generate(e2e_corpus.records[101], services, mode=GenerationMode.EMIT_AND_BOOTSTRAP)
+            generate(e2e_corpus.records[103], services, mode=GenerationMode.EMIT_AND_BOOTSTRAP)
+        assert not services.out_dir.exists() or list(services.out_dir.iterdir()) == []
 
     def test_bootstrap_mode_polls_then_configures(self, e2e_tree, e2e_corpus, tmp_path):
         clock = SimulatedClock()

@@ -1,10 +1,13 @@
 """Every name a vulnwp module exports must exist, so a deletion cannot
-leave a dangling export behind."""
+leave a dangling export behind; nor can a rename leave one of the names
+the benchmark's tracer patches behind."""
 
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +27,14 @@ def test_module_exports_are_defined(name):
 def test_package_reexports_only_existing_names():
     assert len(set(vulnwp.__all__)) == len(vulnwp.__all__), "duplicate names in __all__"
     assert [n for n in vulnwp.__all__ if not hasattr(vulnwp, n)] == []
+
+
+def test_every_name_the_tracer_patches_exists():
+    # Loaded by path, so the benchmark's runner and its imports stay out.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [(module, attr) for module, attr in tracing.PROGRAM_CALLS
+               if not hasattr(importlib.import_module(module), attr)]
+    assert tracing.PROGRAM_CALLS and missing == []
