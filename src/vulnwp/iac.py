@@ -49,7 +49,7 @@ import yaml
 
 from .config import DatabaseSpec, GeneratorConfig, SiteSpec
 from .errors import BundleWriteError
-from .resolvers import ComponentKind, FetchedComponent, ImageRef
+from .resolvers import ComponentKind, FetchedComponent, ImageRef, write_file
 
 __all__ = [
     "EnvironmentPlan",
@@ -299,8 +299,13 @@ def _render_provenance(plan: EnvironmentPlan, generated_at: datetime) -> str:
 
 def staging_dir(bundle_dir: Path | str) -> Path:
     """The directory a bundle is built in before it is renamed into place."""
-    bundle_dir = _as_path(bundle_dir)
-    return bundle_dir.with_name(f".{bundle_dir.name}.partial")
+    return Path(_staging_path(bundle_dir))
+
+
+def _staging_path(bundle_dir: Path | str) -> str:
+    """staging_dir(bundle_dir) as a string, built without a Path."""
+    head, name = os.path.split(os.fspath(bundle_dir).rstrip("/"))
+    return os.path.join(head, f".{name}.partial")
 
 
 def _as_path(path: Path | str) -> Path:
@@ -313,28 +318,34 @@ def stage_bundle(bundle_dir: Path | str, slugs: tuple[str, ...] = ()) -> list[Pa
     directory its payload is fetched into, <staging>/components/<slug>.
 
     The first fetch makes the staging directory, so a record whose sources
-    all miss makes none; with no slugs it is made here, empty. Raises
-    OSError when it cannot be cleared or made.
+    all miss makes none; with no slugs it is made here, empty. A staging
+    directory is removed only when os.path.lexists finds one, so clearing
+    nothing costs one lstat, not an rmtree. With slugs, bundle_dir's
+    parent is made here, so an out dir that cannot be used fails before
+    any fetch. Raises OSError when it cannot be cleared or made.
     """
-    staging = staging_dir(bundle_dir)
+    staging = _staging_path(bundle_dir)
     if slugs:
-        try:
+        if os.path.lexists(staging):
             shutil.rmtree(staging)
-        except FileNotFoundError:
-            pass
-        staging.parent.mkdir(parents=True, exist_ok=True)
+        parent = os.path.dirname(staging)
+        if parent and not os.path.isdir(parent):
+            os.makedirs(parent, exist_ok=True)
     else:
         try:
-            staging.mkdir(parents=True)
+            os.makedirs(staging)
         except FileExistsError:
             shutil.rmtree(staging)
-            staging.mkdir()
-    return [staging / "components" / slug for slug in slugs]
+            os.mkdir(staging)
+    return [Path(f"{staging}/components/{slug}") for slug in slugs]
 
 
 def discard_staging(bundle_dir: Path | str) -> None:
-    """Remove bundle_dir's staging directory and everything in it, if it exists."""
-    shutil.rmtree(staging_dir(bundle_dir), ignore_errors=True)
+    """Remove bundle_dir's staging directory and everything in it, if one is
+    there; when none is, this is one lstat."""
+    staging = _staging_path(bundle_dir)
+    if os.path.lexists(staging):
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def emit_bundle(
@@ -357,7 +368,7 @@ def emit_bundle(
     place.
     """
     bundle_dir = _as_path(bundle_dir)
-    staging = staging_dir(bundle_dir)
+    staging = _staging_path(bundle_dir)
     planned = sorted(c.slug for c in plan.components)
 
     dockerfile, compose, setup, provenance = BUNDLE_FILES
@@ -369,15 +380,15 @@ def emit_bundle(
     }
     digests = {}
     try:
-        components = staging / "components"
-        staged = sorted(os.listdir(components)) if components.is_dir() else []
+        components = f"{staging}/components"
+        staged = sorted(os.listdir(components)) if os.path.isdir(components) else []
         if staged != planned:
             raise BundleWriteError(
                 f"bundle {bundle_dir} has components {staged} staged, but its plan names {planned}"
             )
         for name, text in rendered.items():
             data = text.encode("utf-8")
-            _write_file(os.path.join(staging, name), data, executable=name == setup)
+            write_file(f"{staging}/{name}", data, executable=name == setup)
             digests[name] = hashlib.sha256(data).hexdigest()
         if planned:
             digests.update(_hash_payloads(staging))
@@ -392,36 +403,26 @@ def emit_bundle(
     return BundleManifest(bundle_dir, digests)
 
 
-def _write_file(path: str, data: bytes, *, executable: bool) -> None:
-    """Create or truncate path and write all of data, looping over short writes."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-    try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
-        if executable:
-            os.fchmod(fd, 0o755)
-    finally:
-        os.close(fd)
-
-
-def _hash_payloads(staging: Path) -> dict[str, str]:
-    """sha256 of every file under staging/components, keyed by its posix path below staging."""
+def _hash_payloads(staging: str) -> dict[str, str]:
+    """sha256 of every file under staging/components, keyed by its posix path
+    below staging; one os.scandir walk on strings, and a directory that
+    cannot be listed raises OSError."""
     digests = {}
-    skip = len(str(staging)) + 1
-    for folder, _, names in os.walk(staging / "components", onerror=_raise):
-        below = folder[skip:].replace(os.sep, "/")
-        for name in names:
-            with open(os.path.join(folder, name), "rb") as handle:
-                digests[f"{below}/{name}"] = hashlib.sha256(handle.read()).hexdigest()
+    pending = ["components"]
+    while pending:
+        below = pending.pop()
+        with os.scandir(f"{staging}/{below}") as listing:
+            for entry in listing:
+                name = f"{below}/{entry.name}"
+                if entry.is_dir():
+                    pending.append(name)
+                else:
+                    with open(entry.path, "rb", buffering=0) as handle:
+                        digests[name] = hashlib.sha256(handle.readall()).hexdigest()
     return digests
 
 
-def _raise(error: OSError) -> None:
-    raise error
-
-
-def _swap_into_place(staging: Path, bundle_dir: Path) -> None:
+def _swap_into_place(staging: str, bundle_dir: Path) -> None:
     """Rename staging to bundle_dir; an earlier bundle is moved aside, then removed."""
     try:
         os.replace(staging, bundle_dir)

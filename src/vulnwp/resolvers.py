@@ -15,8 +15,9 @@ attached to the exploit record itself.
 from __future__ import annotations
 
 import logging
+import os
+import posixpath
 import re
-import shutil
 import zipfile
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
@@ -255,27 +256,74 @@ class DiskSvnMirror(SvnMirror):
 
     Layout: <plugins_root>/<slug>/tags/<version>/... and the same under
     <themes_root>. Access is plain directory retrieval, no VCS client.
-    Files are copied by content only, so each gets a new file's mode and
-    mtime, as HttpSvnMirror's downloads do, not the fixture file's.
+    A source that cannot be listed as a directory, or lists nothing, is a
+    miss. Otherwise the export copies it in one walk on string paths:
+    os.makedirs(dest), then os.mkdir for each directory, and each regular
+    file read once and written with write_file. Links are followed, so a
+    link to a file or a directory is copied as its content. Anything else
+    (a FIFO, a dangling link) and a dest that already exists raise
+    FetchError. Everything is copied by content only, so each file gets a
+    new file's mode and mtime and each directory a new directory's, as
+    HttpSvnMirror's downloads do, not the fixture's.
     """
 
     def __init__(self, plugins_root: Path | str, themes_root: Path | str) -> None:
-        self._roots = {
-            ComponentKind.PLUGIN: Path(plugins_root),
-            ComponentKind.THEME: Path(themes_root),
+        # Each root as the prefix str(Path(root) / slug) begins with, so a
+        # locator is the string it was when it was built from Paths.
+        self._prefixes = {
+            ComponentKind.PLUGIN: str(Path(plugins_root) / "_")[:-1],
+            ComponentKind.THEME: str(Path(themes_root) / "_")[:-1],
         }
 
     def export(self, kind: ComponentKind, slug: str, version: Version | None, dest: Path) -> str | None:
-        root = self._roots[kind]
         subdir = f"tags/{version}" if version is not None else "trunk"
-        source = root / slug / subdir
-        if not source.is_dir() or not any(source.iterdir()):
-            return None
+        source = f"{self._prefixes[kind]}{slug}/{subdir}"
         try:
-            shutil.copytree(source, dest, copy_function=shutil.copyfile)
+            with os.scandir(source) as listing:
+                entries = list(listing)
+        except OSError:
+            return None
+        if not entries:
+            return None
+        dest = os.fspath(dest)
+        try:
+            os.makedirs(dest)
+            _copy_entries(entries, dest)
         except OSError as exc:
             raise FetchError(f"copying {source} failed: {exc}") from exc
-        return str(source)
+        return source
+
+
+def _copy_entries(entries: list[os.DirEntry], dest: str) -> None:
+    """Copy the listed entries, and the trees below them, into the existing
+    directory dest, following links; raise FetchError for any entry that is
+    neither a directory nor a regular file."""
+    for entry in entries:
+        target = f"{dest}/{entry.name}"
+        if entry.is_dir():
+            os.mkdir(target)
+            with os.scandir(entry.path) as listing:
+                _copy_entries(list(listing), target)
+        elif entry.is_file():
+            with open(entry.path, "rb", buffering=0) as handle:
+                data = handle.readall()
+            write_file(target, data)
+        else:
+            raise FetchError(f"{entry.path} is neither a regular file nor a directory")
+
+
+def write_file(path: str, data: bytes, *, executable: bool = False) -> None:
+    """Create or truncate path and write all of data, looping over short
+    writes; executable makes it 0o755 on its descriptor."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if executable:
+            os.fchmod(fd, 0o755)
+    finally:
+        os.close(fd)
 
 
 class HttpSvnMirror(SvnMirror):
@@ -403,19 +451,22 @@ class SourceClients:
 def extract_archive(archive: Path, dest: Path) -> None:
     """Unpack a zip archive into dest, refusing traversal outside it.
 
-    Raises FetchError for corrupt or empty archives and extraction
-    failures.
+    The check is lexical: a member whose normalized name is absolute, is
+    "..", or starts with "../" is refused before anything is extracted.
+    Resolving each target gives the same answer as long as dest holds no
+    links, as the new directory fetch_component passes does not;
+    extraction itself makes none. Raises FetchError for corrupt or empty
+    archives, such a member, and extraction failures.
     """
     try:
-        dest.mkdir(parents=True, exist_ok=True)
+        os.makedirs(dest, exist_ok=True)
         with zipfile.ZipFile(archive) as bundle:
             members = bundle.infolist()
             if not members:
                 raise FetchError(f"archive {archive} is empty")
-            resolved_dest = dest.resolve()
             for member in members:
-                target = (dest / member.filename).resolve()
-                if not target.is_relative_to(resolved_dest):
+                name = posixpath.normpath(member.filename)
+                if name == ".." or name.startswith(("/", "../")):
                     raise FetchError(f"archive {archive} escapes its directory: {member.filename}")
             bundle.extractall(dest)
     except (zipfile.BadZipFile, OSError) as exc:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -238,10 +239,15 @@ class TestGenerateAcrossCorpus:
 
 
 class TestGenerateEdges:
-    def test_all_miss_record_leaves_nothing_under_out_dir(self, e2e_corpus, services):
+    def test_all_miss_record_leaves_nothing_under_out_dir(self, e2e_corpus, services, monkeypatch):
+        # With no staging directory left over, none is removed either.
+        removals = []
+        rmtree = shutil.rmtree
+        monkeypatch.setattr(shutil, "rmtree", lambda *a, **k: removals.append(a) or rmtree(*a, **k))
         outcome = generate(e2e_corpus.records[106], services)
         assert outcome.reason is FailureReason.NO_VULNERABLE_APPLICATION
         assert not services.out_dir.exists() or not any(services.out_dir.iterdir())
+        assert removals == []
 
     def test_unwritable_out_dir_is_a_setup_error(self, e2e_tree, e2e_corpus, tmp_path):
         blocker = tmp_path / "out"

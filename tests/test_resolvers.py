@@ -4,6 +4,7 @@ import os
 import random
 import re
 import stat
+import threading
 import zipfile
 from pathlib import Path
 
@@ -368,6 +369,119 @@ class TestDiskSvnMirror:
         mirror = DiskSvnMirror(tmp_path / "plugins", tmp_path / "themes")
         assert mirror.export(ComponentKind.PLUGIN, "hollow", ver("1.0"), tmp_path / "out") is None
 
+    @staticmethod
+    def tag_tree(tmp_path: Path) -> tuple[Path, DiskSvnMirror]:
+        """An empty plugins/tree/tags/1.0 fixture directory and a mirror over it."""
+        tag = tmp_path / "plugins" / "tree" / "tags" / "1.0"
+        tag.mkdir(parents=True)
+        (tmp_path / "themes").mkdir()
+        return tag, DiskSvnMirror(tmp_path / "plugins", tmp_path / "themes")
+
+    @staticmethod
+    def tree(root: Path) -> dict[str, bytes | None]:
+        """Every entry under root by relative path: a file's bytes, None for a directory."""
+        entries = {}
+        for folder, dirs, files in os.walk(root):
+            for name in dirs:
+                entries[os.path.relpath(os.path.join(folder, name), root)] = None
+            for name in files:
+                path = os.path.join(folder, name)
+                entries[os.path.relpath(path, root)] = Path(path).read_bytes()
+        return entries
+
+    def test_nested_and_empty_directories_are_copied(self, tmp_path):
+        tag, mirror = self.tag_tree(tmp_path)
+        (tag / "inc" / "deep").mkdir(parents=True)
+        (tag / "empty").mkdir()
+        (tag / "tree.php").write_bytes(b"<?php // main\n")
+        (tag / "inc" / "db.php").write_bytes(b"db")
+        (tag / "inc" / "deep" / "x.js").write_bytes(b"x" * 70_000)
+        dest = tmp_path / "out"
+        assert mirror.export(ComponentKind.PLUGIN, "tree", ver("1.0"), dest) == str(tag)
+        assert self.tree(dest) == self.tree(tag) == {
+            "empty": None,
+            "inc": None,
+            "inc/deep": None,
+            "inc/deep/x.js": b"x" * 70_000,
+            "inc/db.php": b"db",
+            "tree.php": b"<?php // main\n",
+        }
+
+    def test_links_are_copied_as_their_content(self, tmp_path):
+        tag, mirror = self.tag_tree(tmp_path)
+        shared = tmp_path / "shared"
+        (shared / "lib").mkdir(parents=True)
+        (shared / "lib" / "util.php").write_bytes(b"util")
+        (shared / "readme.txt").write_bytes(b"readme")
+        (tag / "readme.txt").symlink_to(shared / "readme.txt")
+        (tag / "lib").symlink_to(shared / "lib")
+        dest = tmp_path / "out"
+        assert mirror.export(ComponentKind.PLUGIN, "tree", ver("1.0"), dest) == str(tag)
+        assert self.tree(dest) == {"lib": None, "lib/util.php": b"util", "readme.txt": b"readme"}
+        assert not (dest / "readme.txt").is_symlink() and not (dest / "lib").is_symlink()
+
+    def test_a_dangling_link_is_a_fetch_error(self, tmp_path):
+        tag, mirror = self.tag_tree(tmp_path)
+        (tag / "tree.php").write_bytes(b"<?php\n")
+        (tag / "gone.php").symlink_to(tmp_path / "nowhere.php")
+        with pytest.raises(FetchError, match="gone.php"):
+            mirror.export(ComponentKind.PLUGIN, "tree", ver("1.0"), tmp_path / "out")
+
+    def test_a_fifo_is_a_fetch_error_and_is_not_opened(self, tmp_path):
+        tag, mirror = self.tag_tree(tmp_path)
+        os.mkfifo(tag / "pipe")
+        raised = []
+
+        def export() -> None:
+            try:
+                mirror.export(ComponentKind.PLUGIN, "tree", ver("1.0"), tmp_path / "out")
+            except FetchError as exc:
+                raised.append(exc)
+
+        worker = threading.Thread(target=export, daemon=True)
+        worker.start()
+        worker.join(10)
+        if worker.is_alive():
+            # Release the reader the export opened, so the thread can end.
+            os.close(os.open(tag / "pipe", os.O_WRONLY | os.O_NONBLOCK))
+            worker.join()
+            pytest.fail("the export blocked opening the FIFO")
+        assert len(raised) == 1 and "pipe" in str(raised[0])
+
+    def test_an_existing_dest_is_a_fetch_error(self, tmp_path):
+        tag, mirror = self.tag_tree(tmp_path)
+        (tag / "tree.php").write_bytes(b"<?php\n")
+        dest = tmp_path / "out"
+        dest.mkdir()
+        with pytest.raises(FetchError, match=f"copying {re.escape(str(tag))} failed"):
+            mirror.export(ComponentKind.PLUGIN, "tree", ver("1.0"), dest)
+        assert list(dest.iterdir()) == []
+
+    @pytest.mark.parametrize("shape", ["file", "empty directory"])
+    def test_a_tag_that_lists_nothing_is_a_miss_and_makes_no_dest(self, tmp_path, shape):
+        tag, mirror = self.tag_tree(tmp_path)
+        if shape == "file":
+            tag.rmdir()
+            tag.write_bytes(b"not a directory")
+        dest = tmp_path / "out"
+        assert mirror.export(ComponentKind.PLUGIN, "tree", ver("1.0"), dest) is None
+        assert not os.path.lexists(dest)
+
+    def test_payload_directories_get_a_new_directorys_mode(self, tmp_path):
+        tag, mirror = self.tag_tree(tmp_path)
+        (tag / "inc").mkdir()
+        (tag / "inc" / "db.php").write_bytes(b"db")
+        (tag / "inc").chmod(0o700)
+        tag.chmod(0o711)
+        dest = tmp_path / "out"
+        previous = os.umask(0o027)
+        try:
+            assert mirror.export(ComponentKind.PLUGIN, "tree", ver("1.0"), dest) == str(tag)
+        finally:
+            os.umask(previous)
+        modes = {path: stat.S_IMODE((dest / path).stat().st_mode) for path in (".", "inc")}
+        assert modes == {".": 0o777 & ~0o027, "inc": 0o777 & ~0o027}
+
 
 class FakeResponse:
     def __init__(self, status_code: int, content: bytes = b"") -> None:
@@ -468,6 +582,38 @@ class TestExtractArchive:
         with pytest.raises(FetchError):
             extract_archive(archive, tmp_path / "out")
         assert not (tmp_path / "outside.txt").exists()
+
+    @pytest.mark.parametrize("name", ["../x", "a/../../x", "/abs/x", ".."])
+    def test_refuses_a_member_outside_dest(self, tmp_path, name):
+        archive = tmp_path / "slip.zip"
+        with zipfile.ZipFile(archive, "w") as bundle:
+            bundle.writestr("plugin/ok.php", "<?php\n")
+            bundle.writestr(name, "escape attempt")
+        dest = tmp_path / "deep" / "out"
+        before = sorted(tmp_path.rglob("*"))
+        with pytest.raises(FetchError, match="escapes its directory"):
+            extract_archive(archive, dest)
+        assert list(dest.iterdir()) == []
+        assert sorted(tmp_path.rglob("*")) == sorted([*before, tmp_path / "deep", dest])
+        assert not os.path.lexists("/abs/x")
+
+    @pytest.mark.parametrize("name, lands_at", [("a/../b", "a/b"), ("./a", "a"), ("a//b", "a/b")])
+    def test_accepts_a_member_that_stays_inside_dest(self, tmp_path, name, lands_at):
+        archive = tmp_path / "odd.zip"
+        with zipfile.ZipFile(archive, "w") as bundle:
+            bundle.writestr(name, "kept")
+        dest = tmp_path / "out"
+        extract_archive(archive, dest)
+        assert [p.relative_to(dest).as_posix() for p in dest.rglob("*") if p.is_file()] == [lands_at]
+        assert (dest / lands_at).read_text() == "kept"
+
+    def test_extracts_into_a_dest_below_a_linked_parent(self, tmp_path):
+        archive = tmp_path / "ok.zip"
+        write_zip(archive, {"plugin/plugin.php": "<?php\n"})
+        (tmp_path / "real").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "real")
+        extract_archive(archive, tmp_path / "link" / "out")
+        assert (tmp_path / "real" / "out" / "plugin" / "plugin.php").read_text() == "<?php\n"
 
 
 class TestFetchComponentOrder:
