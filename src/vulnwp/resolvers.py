@@ -26,6 +26,7 @@ from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
+from urllib.parse import unquote
 
 from .errors import EmptySlugError, FetchError, NoImageError, NoVulnerableApplicationError
 from .versions import DOTTED_NUMERIC, ConstraintKind, Version, VersionConstraint
@@ -243,28 +244,63 @@ class SvnMirror(ABC):
     def export(self, kind: ComponentKind, slug: str, version: Version | None, dest: Path) -> str | None:
         """Copy <slug>/tags/<version>/ (or trunk/ when version is None) into dest.
 
-        dest does not exist yet; the export creates it, so nothing already
-        on disk merges into the payload.
-
-        Returns the locator that was exported on success, None on a miss.
-        Unexpected failures while copying an existing tree raise FetchError.
+        Returns the locator exported, or None on a miss: a source that
+        cannot be listed, or lists nothing, makes no dest. Otherwise the
+        export makes dest, so an existing dest is a FetchError. Every entry
+        is copied, dot-names such as .htaccess too, under its decoded name,
+        with a new file's or directory's mode and mtime. A name that is "",
+        "." or ".." or holds "/", a directory that cannot be listed or lies
+        more than _MAX_DEPTH levels down, and any other failure while
+        copying raise FetchError.
         """
+
+
+# A directory nested deeper than this below the exported source is a
+# FetchError: a bound against a listing that never ends, far above real trees.
+_MAX_DEPTH = 32
+
+
+def _svn_path(slug: str, version: Version | None) -> str:
+    return f"{slug}/tags/{version}" if version is not None else f"{slug}/trunk"
+
+
+def _export_tree(mirror: DiskSvnMirror | HttpSvnMirror, top: str, dest: Path) -> bool:
+    """The walk SvnMirror.export documents; False on a miss. The mirror's
+    _list gives a directory's entries as (file system name, locator, is a
+    directory), or None when it cannot be listed; its _read a file's bytes."""
+
+    def copy(entries: list[tuple[str, str, bool]], into: str, depth: int) -> None:
+        for name, locator, is_dir in entries:
+            if name in ("", ".", "..") or "/" in name:
+                raise FetchError(f"{locator} is listed under the unsafe name {name!r}")
+            target = f"{into}/{name}"
+            if not is_dir:
+                write_file(target, mirror._read(locator))
+                continue
+            if depth > _MAX_DEPTH:
+                raise FetchError(f"{locator} is nested more than {_MAX_DEPTH} directories deep")
+            listed = mirror._list(locator)
+            if listed is None:
+                raise FetchError(f"{locator} cannot be listed")
+            os.mkdir(target)
+            copy(listed, target, depth + 1)
+
+    entries = mirror._list(top)
+    if not entries:
+        return False
+    os.makedirs(dest)
+    copy(entries, os.fspath(dest), 1)
+    return True
 
 
 class DiskSvnMirror(SvnMirror):
     """SVN mirror served from a local directory tree.
 
     Layout: <plugins_root>/<slug>/tags/<version>/... and the same under
-    <themes_root>. Access is plain directory retrieval, no VCS client.
-    A source that cannot be listed as a directory, or lists nothing, is a
-    miss. Otherwise the export copies it in one walk on string paths:
-    os.makedirs(dest), then os.mkdir for each directory, and each regular
-    file read once and written with write_file. Links are followed, so a
-    link to a file or a directory is copied as its content. Anything else
-    (a FIFO, a dangling link) and a dest that already exists raise
-    FetchError. Everything is copied by content only, so each file gets a
-    new file's mode and mtime and each directory a new directory's, as
-    HttpSvnMirror's downloads do, not the fixture's.
+    <themes_root>. Access is plain directory retrieval, no VCS client: one
+    os.scandir per directory. Links are followed, so a link to a file or a
+    directory is copied as its content. Anything else (a FIFO, a dangling
+    link) raises FetchError, and a FIFO is never opened.
     """
 
     def __init__(self, plugins_root: Path | str, themes_root: Path | str) -> None:
@@ -276,40 +312,28 @@ class DiskSvnMirror(SvnMirror):
         }
 
     def export(self, kind: ComponentKind, slug: str, version: Version | None, dest: Path) -> str | None:
-        subdir = f"tags/{version}" if version is not None else "trunk"
-        source = f"{self._prefixes[kind]}{slug}/{subdir}"
+        source = self._prefixes[kind] + _svn_path(slug, version)
         try:
-            with os.scandir(source) as listing:
+            return source if _export_tree(self, source, dest) else None
+        except (OSError, FetchError) as exc:
+            raise FetchError(f"copying {source} failed: {exc}") from exc
+
+    @staticmethod
+    def _list(path: str) -> list[tuple[str, str, bool]] | None:
+        try:
+            with os.scandir(path) as listing:
                 entries = list(listing)
         except OSError:
             return None
-        if not entries:
-            return None
-        dest = os.fspath(dest)
-        try:
-            os.makedirs(dest)
-            _copy_entries(entries, dest)
-        except OSError as exc:
-            raise FetchError(f"copying {source} failed: {exc}") from exc
-        return source
+        for entry in entries:
+            if not entry.is_dir() and not entry.is_file():
+                raise FetchError(f"{entry.path} is neither a regular file nor a directory")
+        return [(entry.name, entry.path, entry.is_dir()) for entry in entries]
 
-
-def _copy_entries(entries: list[os.DirEntry], dest: str) -> None:
-    """Copy the listed entries, and the trees below them, into the existing
-    directory dest, following links; raise FetchError for any entry that is
-    neither a directory nor a regular file."""
-    for entry in entries:
-        target = f"{dest}/{entry.name}"
-        if entry.is_dir():
-            os.mkdir(target)
-            with os.scandir(entry.path) as listing:
-                _copy_entries(list(listing), target)
-        elif entry.is_file():
-            with open(entry.path, "rb", buffering=0) as handle:
-                data = handle.readall()
-            write_file(target, data)
-        else:
-            raise FetchError(f"{entry.path} is neither a regular file nor a directory")
+    @staticmethod
+    def _read(path: str) -> bytes:
+        with open(path, "rb", buffering=0) as handle:
+            return handle.readall()
 
 
 def write_file(path: str, data: bytes, *, executable: bool = False) -> None:
@@ -330,14 +354,13 @@ class HttpSvnMirror(SvnMirror):
     """SVN mirror reached over plain HTTP directory listings.
 
     Works against the public repository front ends, which serve Apache
-    style HTML indexes. Recursion is depth limited as a safety stop.
+    style HTML indexes.
     """
 
     PLUGIN_URL = "https://plugins.svn.wordpress.org"
     THEME_URL = "https://themes.svn.wordpress.org"
 
     _HREF = re.compile(r'href="([^"?]+)"')
-    _MAX_DEPTH = 6
     _TIMEOUT = 30.0
 
     def __init__(self, plugin_url: str = PLUGIN_URL, theme_url: str = THEME_URL, session=None) -> None:
@@ -352,37 +375,27 @@ class HttpSvnMirror(SvnMirror):
     def export(self, kind: ComponentKind, slug: str, version: Version | None, dest: Path) -> str | None:
         """A 404 on the top listing is a miss; any other failure, a
         transport error included, raises FetchError."""
-        subdir = f"tags/{version}" if version is not None else "trunk"
-        base = f"{self._urls[kind]}/{slug}/{subdir}/"
+        base = f"{self._urls[kind]}/{_svn_path(slug, version)}/"
         try:
-            response = self._session.get(base, timeout=self._TIMEOUT)
-            if response.status_code == 404:
-                return None
-            response.raise_for_status()
-            self._mirror_dir(base, response.text, dest, self._MAX_DEPTH)
+            return base if _export_tree(self, base, dest) else None
         except Exception as exc:
             raise FetchError(f"retrieving {base} failed: {exc}") from exc
-        if not dest.is_dir() or not any(dest.iterdir()):
+
+    def _list(self, url: str) -> list[tuple[str, str, bool]] | None:
+        """The index page's links but the parent and off-tree ones, or None
+        on a 404: each named by its href percent-decoded, fetched by it as listed."""
+        response = self._session.get(url, timeout=self._TIMEOUT)
+        if response.status_code == 404:
             return None
-        return base
+        response.raise_for_status()
+        return [(unquote(href.removesuffix("/")), url + href, href.endswith("/"))
+                for href in self._HREF.findall(response.text)
+                if href != "../" and not href.startswith(("/", "http:", "https:"))]
 
-    def _mirror_dir(self, url: str, listing: str, dest: Path, depth: int) -> None:
-        """Write the files the listing of url names into dest, and the
-        directories it names, depth - 1 levels further down."""
-        dest.mkdir(parents=True, exist_ok=True)
-        for href in self._HREF.findall(listing):
-            if href.startswith((".", "/", "http:", "https:")):
-                continue
-            if not href.endswith("/"):
-                (dest / href).write_bytes(self._get(url + href).content)
-            elif depth > 1:
-                sub = url + href
-                self._mirror_dir(sub, self._get(sub).text, dest / href.rstrip("/"), depth - 1)
-
-    def _get(self, url: str):
+    def _read(self, url: str) -> bytes:
         response = self._session.get(url, timeout=self._TIMEOUT)
         response.raise_for_status()
-        return response
+        return response.content
 
 
 class LinkDownloader(ABC):

@@ -7,6 +7,7 @@ import stat
 import threading
 import zipfile
 from pathlib import Path
+from urllib.parse import quote
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from vulnwp.errors import EmptySlugError, FetchError, NoImageError, NoVulnerableApplicationError
 from vulnwp.resolvers import (
+    _MAX_DEPTH,
     IMAGE_VERSION_FLOOR,
     ComponentKind,
     DiskSvnMirror,
@@ -318,6 +320,18 @@ class TestDeriveSlug:
             derive_slug(product)
 
 
+def tree_of(root: Path) -> dict[str, bytes | None]:
+    """Every entry under root by relative path: a file's bytes, None for a directory."""
+    entries = {}
+    for folder, dirs, files in os.walk(root):
+        for name in dirs:
+            entries[os.path.relpath(os.path.join(folder, name), root)] = None
+        for name in files:
+            path = os.path.join(folder, name)
+            entries[os.path.relpath(path, root)] = Path(path).read_bytes()
+    return entries
+
+
 class TestDiskSvnMirror:
     def test_exports_version_tag(self, e2e_tree, tmp_path):
         mirror = DiskSvnMirror(
@@ -345,30 +359,6 @@ class TestDiskSvnMirror:
         assert mirror.export(ComponentKind.PLUGIN, "unknown", ver("1.0"), tmp_path / "b") is None
         assert mirror.export(ComponentKind.THEME, "quiz-master", ver("7.1.3"), tmp_path / "c") is None
 
-    def test_exported_files_get_a_new_files_mode_and_mtime(self, tmp_path):
-        tag = tmp_path / "plugins" / "locked" / "tags" / "1.0"
-        tag.mkdir(parents=True)
-        (tmp_path / "themes").mkdir()
-        fixture = tag / "locked.php"
-        fixture.write_bytes(b"<?php // locked\n")
-        fixture.chmod(0o700)
-        os.utime(fixture, (1_000_000_000, 1_000_000_000))
-        fresh = tmp_path / "fresh"
-        fresh.write_bytes(b"")
-        mirror = DiskSvnMirror(tmp_path / "plugins", tmp_path / "themes")
-        dest = tmp_path / "out"
-        assert mirror.export(ComponentKind.PLUGIN, "locked", ver("1.0"), dest) == str(tag)
-        copied = dest / "locked.php"
-        assert copied.read_bytes() == fixture.read_bytes()
-        assert stat.S_IMODE(copied.stat().st_mode) == stat.S_IMODE(fresh.stat().st_mode) != 0o700
-        assert copied.stat().st_mtime != 1_000_000_000
-
-    def test_empty_tag_directory_is_a_miss(self, tmp_path):
-        (tmp_path / "plugins" / "hollow" / "tags" / "1.0").mkdir(parents=True)
-        (tmp_path / "themes").mkdir()
-        mirror = DiskSvnMirror(tmp_path / "plugins", tmp_path / "themes")
-        assert mirror.export(ComponentKind.PLUGIN, "hollow", ver("1.0"), tmp_path / "out") is None
-
     @staticmethod
     def tag_tree(tmp_path: Path) -> tuple[Path, DiskSvnMirror]:
         """An empty plugins/tree/tags/1.0 fixture directory and a mirror over it."""
@@ -376,36 +366,6 @@ class TestDiskSvnMirror:
         tag.mkdir(parents=True)
         (tmp_path / "themes").mkdir()
         return tag, DiskSvnMirror(tmp_path / "plugins", tmp_path / "themes")
-
-    @staticmethod
-    def tree(root: Path) -> dict[str, bytes | None]:
-        """Every entry under root by relative path: a file's bytes, None for a directory."""
-        entries = {}
-        for folder, dirs, files in os.walk(root):
-            for name in dirs:
-                entries[os.path.relpath(os.path.join(folder, name), root)] = None
-            for name in files:
-                path = os.path.join(folder, name)
-                entries[os.path.relpath(path, root)] = Path(path).read_bytes()
-        return entries
-
-    def test_nested_and_empty_directories_are_copied(self, tmp_path):
-        tag, mirror = self.tag_tree(tmp_path)
-        (tag / "inc" / "deep").mkdir(parents=True)
-        (tag / "empty").mkdir()
-        (tag / "tree.php").write_bytes(b"<?php // main\n")
-        (tag / "inc" / "db.php").write_bytes(b"db")
-        (tag / "inc" / "deep" / "x.js").write_bytes(b"x" * 70_000)
-        dest = tmp_path / "out"
-        assert mirror.export(ComponentKind.PLUGIN, "tree", ver("1.0"), dest) == str(tag)
-        assert self.tree(dest) == self.tree(tag) == {
-            "empty": None,
-            "inc": None,
-            "inc/deep": None,
-            "inc/deep/x.js": b"x" * 70_000,
-            "inc/db.php": b"db",
-            "tree.php": b"<?php // main\n",
-        }
 
     def test_links_are_copied_as_their_content(self, tmp_path):
         tag, mirror = self.tag_tree(tmp_path)
@@ -417,7 +377,7 @@ class TestDiskSvnMirror:
         (tag / "lib").symlink_to(shared / "lib")
         dest = tmp_path / "out"
         assert mirror.export(ComponentKind.PLUGIN, "tree", ver("1.0"), dest) == str(tag)
-        assert self.tree(dest) == {"lib": None, "lib/util.php": b"util", "readme.txt": b"readme"}
+        assert tree_of(dest) == {"lib": None, "lib/util.php": b"util", "readme.txt": b"readme"}
         assert not (dest / "readme.txt").is_symlink() and not (dest / "lib").is_symlink()
 
     def test_a_dangling_link_is_a_fetch_error(self, tmp_path):
@@ -448,39 +408,13 @@ class TestDiskSvnMirror:
             pytest.fail("the export blocked opening the FIFO")
         assert len(raised) == 1 and "pipe" in str(raised[0])
 
-    def test_an_existing_dest_is_a_fetch_error(self, tmp_path):
+    def test_a_tag_that_is_a_file_is_a_miss_and_makes_no_dest(self, tmp_path):
         tag, mirror = self.tag_tree(tmp_path)
-        (tag / "tree.php").write_bytes(b"<?php\n")
-        dest = tmp_path / "out"
-        dest.mkdir()
-        with pytest.raises(FetchError, match=f"copying {re.escape(str(tag))} failed"):
-            mirror.export(ComponentKind.PLUGIN, "tree", ver("1.0"), dest)
-        assert list(dest.iterdir()) == []
-
-    @pytest.mark.parametrize("shape", ["file", "empty directory"])
-    def test_a_tag_that_lists_nothing_is_a_miss_and_makes_no_dest(self, tmp_path, shape):
-        tag, mirror = self.tag_tree(tmp_path)
-        if shape == "file":
-            tag.rmdir()
-            tag.write_bytes(b"not a directory")
+        tag.rmdir()
+        tag.write_bytes(b"not a directory")
         dest = tmp_path / "out"
         assert mirror.export(ComponentKind.PLUGIN, "tree", ver("1.0"), dest) is None
         assert not os.path.lexists(dest)
-
-    def test_payload_directories_get_a_new_directorys_mode(self, tmp_path):
-        tag, mirror = self.tag_tree(tmp_path)
-        (tag / "inc").mkdir()
-        (tag / "inc" / "db.php").write_bytes(b"db")
-        (tag / "inc").chmod(0o700)
-        tag.chmod(0o711)
-        dest = tmp_path / "out"
-        previous = os.umask(0o027)
-        try:
-            assert mirror.export(ComponentKind.PLUGIN, "tree", ver("1.0"), dest) == str(tag)
-        finally:
-            os.umask(previous)
-        modes = {path: stat.S_IMODE((dest / path).stat().st_mode) for path in (".", "inc")}
-        assert modes == {".": 0o777 & ~0o027, "inc": 0o777 & ~0o027}
 
 
 class FakeResponse:
@@ -553,6 +487,198 @@ class TestHttpSvnMirror:
         session = FakeSvnSession({SVN_TAG: listing("gallery.php"), f"{SVN_TAG}gallery.php": b"x"}, (refused,))
         with pytest.raises(FetchError, match=f"retrieving {SVN_TAG} failed: connection to {refused} refused"):
             HttpSvnMirror(session=session).export(ComponentKind.PLUGIN, "gallery", ver("1.2"), tmp_path / "out")
+
+    def test_a_name_is_decoded_and_its_url_is_the_href_as_listed(self, tmp_path):
+        session = FakeSvnSession({SVN_TAG: listing("read%20me.txt"), f"{SVN_TAG}read%20me.txt": b"readme"})
+        dest = tmp_path / "out"
+        assert HttpSvnMirror(session=session).export(ComponentKind.PLUGIN, "gallery", ver("1.2"), dest) == SVN_TAG
+        assert session.requests == [SVN_TAG, f"{SVN_TAG}read%20me.txt"]
+        assert tree_of(dest) == {"read me.txt": b"readme"}
+
+    @pytest.mark.parametrize("href", ["sub/../../escaped.php", "..%2Fescaped.php", "%2E%2E/", "./", "a%2Fb/"])
+    def test_an_unsafe_name_is_a_fetch_error_and_writes_nothing_outside_dest(self, tmp_path, href):
+        session = FakeSvnSession({
+            SVN_TAG: listing("sub/", href),
+            f"{SVN_TAG}sub/": listing("a.php"),
+            f"{SVN_TAG}sub/a.php": b"a",
+            f"{SVN_TAG}{href}": listing("x.php") if href.endswith("/") else b"<?php // escaped\n",
+        })
+        dest = tmp_path / "out"
+        with pytest.raises(FetchError, match=f"retrieving {SVN_TAG} failed: .*unsafe name"):
+            HttpSvnMirror(session=session).export(ComponentKind.PLUGIN, "gallery", ver("1.2"), dest)
+        assert list(tmp_path.iterdir()) == [dest]
+        assert tree_of(dest) == {"sub": None, "sub/a.php": b"a"}
+
+
+class DiskServer:
+    """Serves a tree as plugins/tree/tags/1.0 on disk, every fixture file
+    and directory 0o700 and every file's mtime long past, so a copy that
+    kept either would show."""
+
+    def __init__(self, root: Path, monkeypatch: pytest.MonkeyPatch) -> None:
+        (root / "plugins").mkdir()
+        (root / "themes").mkdir()
+        self.tag = root / "plugins" / "tree" / "tags" / "1.0"
+        self.mirror = DiskSvnMirror(root / "plugins", root / "themes")
+        self.locator = str(self.tag)
+        self.failed = f"copying {self.locator} failed"
+        self.monkeypatch = monkeypatch
+
+    def serve(self, tree: dict[str, bytes | None]) -> None:
+        self.tag.mkdir(parents=True)
+        for path, data in tree.items():
+            target = self.tag / path
+            if data is None:
+                target.mkdir(parents=True, exist_ok=True)
+            else:
+                target.parent.mkdir(parents=True, exist_ok=True)
+                target.write_bytes(data)
+                target.chmod(0o700)
+                os.utime(target, (1_000_000_000, 1_000_000_000))
+        for folder, _, _ in os.walk(self.tag):
+            os.chmod(folder, 0o700)
+
+    def hide(self, path: str) -> None:
+        """Make the directory at path refuse to be listed, as an unreadable one does."""
+        hidden, scandir = str(self.tag / path), os.scandir
+
+        def refusing(target):
+            if os.fspath(target) == hidden:
+                raise PermissionError(13, "Permission denied", hidden)
+            return scandir(target)
+
+        self.monkeypatch.setattr(os, "scandir", refusing)
+
+
+class HttpServer:
+    """Serves a tree as plugins/tree/tags/1.0 through a FakeSvnSession: one
+    Apache-style listing per directory, each name percent-encoded in its href."""
+
+    def __init__(self) -> None:
+        self.pages: dict[str, str | bytes] = {}
+        self.locator = f"{HttpSvnMirror.PLUGIN_URL}/tree/tags/1.0/"
+        self.mirror = HttpSvnMirror(session=FakeSvnSession(self.pages))
+        self.failed = f"retrieving {self.locator} failed"
+
+    def serve(self, tree: dict[str, bytes | None]) -> None:
+        hrefs: dict[str, list[str]] = {"": []}
+        for path, data in tree.items():
+            parent, _, name = path.rpartition("/")
+            if data is None:
+                hrefs.setdefault(path, [])
+                hrefs.setdefault(parent, []).append(f"{quote(name)}/")
+            else:
+                self.pages[self.locator + quote(path)] = data
+                hrefs.setdefault(parent, []).append(quote(name))
+        for folder, names in hrefs.items():
+            self.pages[self.locator + (f"{quote(folder)}/" if folder else "")] = listing(*names)
+
+    def hide(self, path: str) -> None:
+        del self.pages[f"{self.locator}{quote(path)}/"]
+
+
+def nested(levels: int) -> dict[str, bytes | None]:
+    """A tree of levels directories, one inside the next, with a file in the deepest."""
+    folders = ["/".join(f"d{i}" for i in range(1, n + 1)) for n in range(1, levels + 1)]
+    return {**dict.fromkeys(folders), f"{folders[-1]}/leaf.php": b"<?php // leaf\n"}
+
+
+class TestSvnMirrorContract:
+    """What SvnMirror.export promises, met by the disk and the HTTP mirror
+    serving the same tree."""
+
+    @pytest.fixture(params=["disk", "http"])
+    def server(self, request, tmp_path, monkeypatch) -> DiskServer | HttpServer:
+        return DiskServer(tmp_path, monkeypatch) if request.param == "disk" else HttpServer()
+
+    @staticmethod
+    def export(server: DiskServer | HttpServer, dest: Path) -> str | None:
+        return server.mirror.export(ComponentKind.PLUGIN, "tree", ver("1.0"), dest)
+
+    @pytest.mark.parametrize("shape", ["missing", "empty"])
+    def test_a_missing_or_empty_tag_is_a_miss_and_makes_no_dest(self, server, tmp_path, shape):
+        if shape == "empty":
+            server.serve({})
+        dest = tmp_path / "out"
+        assert self.export(server, dest) is None
+        assert not os.path.lexists(dest)
+
+    def test_nested_and_empty_directories_arrive_with_the_same_bytes(self, server, tmp_path):
+        tree = {
+            "empty": None,
+            "inc": None,
+            "inc/deep": None,
+            "inc/deep/x.js": b"x" * 70_000,
+            "inc/db.php": b"db",
+            "tree.php": b"<?php // main\n",
+        }
+        server.serve(tree)
+        dest = tmp_path / "out"
+        assert self.export(server, dest) == server.locator
+        assert tree_of(dest) == tree
+
+    def test_dot_names_are_copied(self, server, tmp_path):
+        tree = {".htaccess": b"Deny from all\n", ".config": None, ".config/a.php": b"a", "tree.php": b"<?php\n"}
+        server.serve(tree)
+        dest = tmp_path / "out"
+        assert self.export(server, dest) == server.locator
+        assert tree_of(dest) == tree
+
+    def test_names_arrive_as_the_fixture_spells_them(self, server, tmp_path):
+        tree = {"read me.txt": b"readme", "100% safe": None, "100% safe/a#b.php": b"ab"}
+        server.serve(tree)
+        dest = tmp_path / "out"
+        assert self.export(server, dest) == server.locator
+        assert tree_of(dest) == tree
+
+    def test_files_get_a_new_files_mode_and_mtime(self, server, tmp_path):
+        server.serve({"locked.php": b"<?php // locked\n"})
+        fresh = tmp_path / "fresh"
+        fresh.write_bytes(b"")
+        dest = tmp_path / "out"
+        assert self.export(server, dest) == server.locator
+        copied = dest / "locked.php"
+        assert copied.read_bytes() == b"<?php // locked\n"
+        assert stat.S_IMODE(copied.stat().st_mode) == stat.S_IMODE(fresh.stat().st_mode) != 0o700
+        assert copied.stat().st_mtime != 1_000_000_000
+
+    def test_directories_get_a_new_directorys_mode(self, server, tmp_path):
+        server.serve({"inc": None, "inc/db.php": b"db"})
+        dest = tmp_path / "out"
+        previous = os.umask(0o027)
+        try:
+            assert self.export(server, dest) == server.locator
+        finally:
+            os.umask(previous)
+        modes = {path: stat.S_IMODE((dest / path).stat().st_mode) for path in (".", "inc")}
+        assert modes == {".": 0o777 & ~0o027, "inc": 0o777 & ~0o027}
+
+    def test_an_existing_dest_is_a_fetch_error(self, server, tmp_path):
+        server.serve({"tree.php": b"<?php\n"})
+        dest = tmp_path / "out"
+        dest.mkdir()
+        with pytest.raises(FetchError, match=re.escape(server.failed)):
+            self.export(server, dest)
+        assert list(dest.iterdir()) == []
+
+    def test_an_unlistable_sub_directory_is_a_fetch_error(self, server, tmp_path):
+        server.serve({"inc": None, "inc/db.php": b"db", "tree.php": b"<?php\n"})
+        server.hide("inc")
+        with pytest.raises(FetchError, match=f"{re.escape(server.failed)}: .*inc.* cannot be listed"):
+            self.export(server, tmp_path / "out")
+
+    @pytest.mark.parametrize("levels", [7, _MAX_DEPTH])
+    def test_a_deep_tree_is_copied_whole(self, server, tmp_path, levels):
+        tree = nested(levels)
+        server.serve(tree)
+        dest = tmp_path / "out"
+        assert self.export(server, dest) == server.locator
+        assert tree_of(dest) == tree
+
+    def test_a_tree_past_the_depth_bound_is_a_fetch_error(self, server, tmp_path):
+        server.serve(nested(_MAX_DEPTH + 1))
+        with pytest.raises(FetchError, match=f"{re.escape(server.failed)}: .*d{_MAX_DEPTH + 1}.* nested more than"):
+            self.export(server, tmp_path / "out")
 
 
 class TestExtractArchive:
