@@ -106,7 +106,12 @@ def _build_services(args) -> PipelineServices:
         links_file = fixtures / "links.json"
         link = None
         if links_file.is_file():
-            mapping = json.loads(links_file.read_text(encoding="utf-8"))
+            try:
+                mapping = json.loads(links_file.read_text(encoding="utf-8"))
+            except ValueError as exc:
+                raise VulnwpError(f"link map {links_file} is not valid JSON: {exc}") from exc
+            if not isinstance(mapping, dict) or not all(isinstance(rel, str) for rel in mapping.values()):
+                raise VulnwpError(f"link map {links_file} must hold a JSON object mapping URLs to paths")
             link = FixtureLinkDownloader({url: fixtures / rel for url, rel in mapping.items()})
         sources = SourceClients(svn=svn, link=link)
     else:
@@ -176,10 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"generate": _cmd_generate, "batch": _cmd_batch, "stats": _cmd_stats}
     try:
         return handlers[args.command](args)
-    except VulnwpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
+    except (VulnwpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -107,19 +107,19 @@ class GeneratorConfig:
         if not isinstance(payload, dict):
             raise VulnwpError(f"config {path} must hold a JSON object")
         config = cls()
-        for section, factory in (("database", DatabaseSpec), ("site", SiteSpec)):
+        for section in ("database", "site"):
             overrides = payload.pop(section, None)
             if overrides is None:
                 continue
             if not isinstance(overrides, dict):
                 raise VulnwpError(f"config section {section} must be a JSON object")
-            allowed = set(factory.__dataclass_fields__)
-            unknown = set(overrides) - allowed
+            spec = getattr(config, section)
+            unknown = set(overrides) - {spec_field.name for spec_field in fields(spec)}
             if unknown:
                 raise VulnwpError(f"unknown {section} config keys: {sorted(unknown)}")
-            config = replace(config, **{section: replace(getattr(config, section), **overrides)})
-        allowed = {"docroot", "readiness_path", "probe_interval", "probe_timeout"}
-        unknown = set(payload) - allowed
+            config = replace(config, **{section: replace(spec, **overrides)})
+        # Both sections are popped above, so only the flat fields are left to match.
+        unknown = set(payload) - {config_field.name for config_field in fields(cls)}
         if unknown:
             raise VulnwpError(f"unknown config keys: {sorted(unknown)}")
         return replace(config, **payload)

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 from urllib.parse import unquote
 
-from .errors import EmptySlugError, FetchError, NoImageError, NoVulnerableApplicationError
+from .errors import EmptySlugError, FetchError, NoImageError, NoVulnerableApplicationError, VulnwpError
 from .versions import DOTTED_NUMERIC, ConstraintKind, Version, VersionConstraint
 
 if TYPE_CHECKING:
@@ -143,9 +143,20 @@ class FixtureTagIndex(TagIndex):
 
     @classmethod
     def from_json(cls, path: Path | str) -> "FixtureTagIndex":
+        """Read a JSON list of tag names.
+
+        Raises VulnwpError naming the file when it is not UTF-8 JSON or does
+        not hold a list of strings.
+        """
         import json
 
-        return cls(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            tags = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise VulnwpError(f"registry listing {path} is not valid JSON: {exc}") from exc
+        if not isinstance(tags, list) or not all(isinstance(tag, str) for tag in tags):
+            raise VulnwpError(f"registry listing {path} must hold a JSON list of strings")
+        return cls(tags)
 
     def list_tags(self) -> list[str]:
         return list(self._tags)

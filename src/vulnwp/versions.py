@@ -185,10 +185,7 @@ def parse_version_expr(expr: str, lenient: bool = False) -> VersionConstraint:
         return VersionConstraint.upper_bound(version, inclusive=bound.group(1) == "<=")
 
     if _SET_EXPR.fullmatch(text):
-        parts = [Version.parse(p.strip()) for p in text.split("/")]
-        if len(parts) == 1:
-            return VersionConstraint.exact(parts[0])
-        return VersionConstraint.version_set(parts)
+        return VersionConstraint.version_set([Version.parse(p.strip()) for p in text.split("/")])
 
     if lenient:
         for prefix, inclusive in (("<=", True), ("<", False)):

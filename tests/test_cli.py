@@ -381,6 +381,30 @@ class TestBatchAndStats:
         assert captured.err == f"error: index {index} is not UTF-8 text: invalid start byte\n"
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "name, text, complaint",
+        [
+            ("registry_tags.json", "{bad", "is not valid JSON"),
+            ("registry_tags.json", '[5, "4.7.0"]', "must hold a JSON list of strings"),
+            ("registry_tags.json", '{"a": 1}', "must hold a JSON list of strings"),
+            ("links.json", "{bad", "is not valid JSON"),
+            ("links.json", '["a"]', "must hold a JSON object mapping URLs to paths"),
+        ],
+    )
+    def test_malformed_fixture_file_is_a_usage_error(self, tmp_path, capsys, name, text, complaint):
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(DEMO.fixtures_dir, fixtures)
+        (fixtures / name).write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        tree = E2ETree(corpus_dir=DEMO.corpus_dir, fixtures_dir=fixtures)
+        code = main(base_args(tree, out) + ["batch"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and f" {fixtures / name} " in line and complaint in line
+        assert not out.exists()
+
 
 def read_ids(reads: list[str]) -> list[int]:
     """The exploit ids of PoCs read, for trees that name PoCs exploits/<id>.txt."""

@@ -24,11 +24,6 @@ def test_module_exports_are_defined(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
-def test_package_reexports_only_existing_names():
-    assert len(set(vulnwp.__all__)) == len(vulnwp.__all__), "duplicate names in __all__"
-    assert [n for n in vulnwp.__all__ if not hasattr(vulnwp, n)] == []
-
-
 def test_every_name_the_tracer_patches_exists():
     # Loaded by path, so the benchmark's runner and its imports stay out.
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"

@@ -4,6 +4,7 @@ import os
 import random
 import re
 import stat
+import tempfile
 import threading
 import zipfile
 from pathlib import Path
@@ -22,6 +23,7 @@ from vulnwp.resolvers import (
     DockerHubTagIndex,
     FixtureLinkDownloader,
     FixtureTagIndex,
+    HttpLinkDownloader,
     HttpSvnMirror,
     SourceClients,
     SourceKind,
@@ -421,7 +423,10 @@ class FakeResponse:
     def __init__(self, status_code: int, content: bytes = b"") -> None:
         self.status_code = status_code
         self.content = content
-        self.text = content.decode("utf-8")
+
+    @property
+    def text(self) -> str:
+        return self.content.decode("utf-8")
 
     def raise_for_status(self) -> None:
         if self.status_code >= 400:
@@ -679,6 +684,39 @@ class TestSvnMirrorContract:
         server.serve(nested(_MAX_DEPTH + 1))
         with pytest.raises(FetchError, match=f"{re.escape(server.failed)}: .*d{_MAX_DEPTH + 1}.* nested more than"):
             self.export(server, tmp_path / "out")
+
+
+_LINK = "https://downloads.example.test/ajax-store.zip"
+
+
+class TestHttpLinkDownloader:
+    def test_a_zip_answer_is_extracted_into_dest(self, tmp_path):
+        archive = tmp_path / "ajax-store.zip"
+        write_zip(archive, {"ajax-store/ajax-store.php": "<?php\n"})
+        session = FakeSvnSession({_LINK: archive.read_bytes()})
+        dest = tmp_path / "dest"
+        assert HttpLinkDownloader(session=session).fetch(_LINK, dest) is True
+        assert tree_of(dest) == {"ajax-store": None, "ajax-store/ajax-store.php": b"<?php\n"}
+        assert session.requests == [_LINK]
+
+    def test_a_404_is_a_miss_and_makes_no_dest(self, tmp_path):
+        dest = tmp_path / "dest"
+        assert HttpLinkDownloader(session=FakeSvnSession({})).fetch(_LINK, dest) is False
+        assert not dest.exists()
+
+    def test_a_transport_error_is_a_fetch_error(self, tmp_path):
+        session = FakeSvnSession({}, refuse=(_LINK,))
+        with pytest.raises(FetchError, match=f"downloading {_LINK} failed"):
+            HttpLinkDownloader(session=session).fetch(_LINK, tmp_path / "dest")
+
+    def test_a_body_that_is_not_a_zip_is_a_fetch_error_and_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        session = FakeSvnSession({_LINK: "<html>not found</html>"})
+        with pytest.raises(FetchError, match="extracting"):
+            HttpLinkDownloader(session=session).fetch(_LINK, tmp_path / "dest")
+        assert list(temp.iterdir()) == []
 
 
 class TestExtractArchive:

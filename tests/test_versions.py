@@ -19,6 +19,7 @@ from vulnwp.versions import (
     ConstraintKind,
     CpeDictionary,
     FixtureCpeDictionary,
+    NvdCpeDictionary,
     Version,
     VersionConstraint,
     extract_version_from_poc,
@@ -28,6 +29,7 @@ from vulnwp.versions import (
 )
 
 from conftest import make_record
+from test_resolvers import FakeHubSession
 
 segment_lists = st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=4)
 # Segment lists ending in zero to three zeros ("4.7", "4.7.0", "4.7.0.0").
@@ -298,6 +300,41 @@ class TestCpeDictionary:
         )
         entries = resolve_versions_from_cve("CVE-2020-1234", FixtureCpeDictionary(path))
         assert len(entries) == 1
+
+
+def nvd_answer(*configurations: list[list[str]]) -> str:
+    """An NVD API 2.0 answer for one CVE: each configuration is a list of
+    nodes, each node a list of match criteria."""
+    configs = [
+        {"nodes": [{"cpeMatch": [{"criteria": c} for c in node]} for node in configuration]}
+        for configuration in configurations
+    ]
+    return json.dumps({"vulnerabilities": [{"cve": {"id": "CVE-2020-1234", "configurations": configs}}]})
+
+
+_CPE = "cpe:2.3:a:acme:{}:{}:*:*:*:*:*:*:*"
+
+
+class TestNvdCpeDictionary:
+    def test_criteria_are_collected_across_configurations_and_nodes_in_order(self):
+        first, second, third = (_CPE.format("widget", v) for v in ("1.0", "1.1", "1.2"))
+        platform = _CPE.format("platform", "5.0")
+        session = FakeHubSession((200, nvd_answer([[first, second], [third]], [[platform]])))
+        assert NvdCpeDictionary(session=session).cpes_for("CVE-2020-1234") == [first, second, third, platform]
+
+    @pytest.mark.parametrize("body", ['{"vulnerabilities": []}', "{}"])
+    def test_an_answer_with_no_vulnerabilities_is_an_unknown_cve(self, body):
+        with pytest.raises(UnknownCveError, match="CVE-2020-1234"):
+            NvdCpeDictionary(session=FakeHubSession((200, body))).cpes_for("CVE-2020-1234")
+
+    @pytest.mark.parametrize(
+        "answer",
+        [ConnectionError("connection refused"), (200, "{not json")],
+        ids=["transport", "bad-json"],
+    )
+    def test_a_transport_error_or_bad_json_is_unavailable(self, answer):
+        with pytest.raises(DictionaryUnavailableError, match="request failed"):
+            NvdCpeDictionary(session=FakeHubSession(answer)).cpes_for("CVE-2020-1234")
 
 
 class _UnknownCve(UnknownCveError):
