@@ -122,11 +122,7 @@ class ReadinessClient(ABC):
 class HttpReadinessClient(ReadinessClient):
     _TIMEOUT = 5.0
 
-    def __init__(self, session=None) -> None:
-        if session is None:
-            import requests
-
-            session = requests.Session()
+    def __init__(self, session) -> None:
         self._session = session
 
     def get_status(self, url: str) -> int:
@@ -149,7 +145,7 @@ class ReadinessProbe:
 
     @classmethod
     def for_plan(cls, plan: EnvironmentPlan, config: GeneratorConfig) -> "ReadinessProbe":
-        return cls(url=f"{plan.site.url}{config.readiness_path}",
+        return cls(url=f"{plan.site.url}/wp-admin/install.php",
                    interval=config.probe_interval, timeout=config.probe_timeout)
 
 

@@ -19,7 +19,6 @@ the requested generation failed, 1 usage or configuration error.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -93,6 +92,14 @@ def _load_corpus_arg(args) -> Corpus:
 
 def _build_services(args) -> PipelineServices:
     config = GeneratorConfig.from_json(args.config) if args.config else GeneratorConfig()
+    bootstrap = GenerationMode(args.mode) is GenerationMode.EMIT_AND_BOOTSTRAP
+    # One HTTP session for the run, shared by every live client; an emit run
+    # on fixtures needs none and never imports requests.
+    session = None
+    if args.fixtures is None or bootstrap:
+        import requests
+
+        session = requests.Session()
     if args.fixtures is not None:
         fixtures = args.fixtures
         registry_file = fixtures / "registry_tags.json"
@@ -104,25 +111,16 @@ def _build_services(args) -> PipelineServices:
         svn_root = fixtures / "svn"
         svn = DiskSvnMirror(svn_root / "plugins", svn_root / "themes") if svn_root.is_dir() else None
         links_file = fixtures / "links.json"
-        link = None
-        if links_file.is_file():
-            try:
-                mapping = json.loads(links_file.read_text(encoding="utf-8"))
-            except ValueError as exc:
-                raise VulnwpError(f"link map {links_file} is not valid JSON: {exc}") from exc
-            if not isinstance(mapping, dict) or not all(isinstance(rel, str) for rel in mapping.values()):
-                raise VulnwpError(f"link map {links_file} must hold a JSON object mapping URLs to paths")
-            link = FixtureLinkDownloader({url: fixtures / rel for url, rel in mapping.items()})
+        link = FixtureLinkDownloader.from_json(links_file) if links_file.is_file() else None
         sources = SourceClients(svn=svn, link=link)
     else:
-        registry = DockerHubTagIndex()
-        cpe = NvdCpeDictionary()
-        sources = SourceClients(svn=HttpSvnMirror(), link=HttpLinkDownloader())
+        registry = DockerHubTagIndex(session)
+        cpe = NvdCpeDictionary(session)
+        sources = SourceClients(svn=HttpSvnMirror(session), link=HttpLinkDownloader(session))
 
-    mode = GenerationMode(args.mode)
     readiness = executor = None
-    if mode is GenerationMode.EMIT_AND_BOOTSTRAP:
-        readiness = HttpReadinessClient()
+    if bootstrap:
+        readiness = HttpReadinessClient(session)
         executor = DockerExecutor()
 
     return PipelineServices(

@@ -59,8 +59,6 @@ class GeneratorConfig:
 
     database: DatabaseSpec = field(default_factory=DatabaseSpec)
     site: SiteSpec = field(default_factory=SiteSpec)
-    docroot: str = "/var/www/html"
-    readiness_path: str = "/wp-admin/install.php"
     probe_interval: float = 10.0
     probe_timeout: float = 300.0
 
@@ -68,10 +66,9 @@ class GeneratorConfig:
         port = self.site.http_port
         if isinstance(port, bool) or not isinstance(port, int) or not 1 <= port <= 65535:
             raise VulnwpError(f"site.http_port must be an integer from 1 to 65535, got {port!r}")
-        # These values end up in the bundle. The Dockerfile carries docroot
-        # unquoted, where a line break would add an instruction, and YAML
-        # refuses DEL and C1 controls even inside a quoted compose value.
-        texts = {"docroot": self.docroot, "readiness_path": self.readiness_path}
+        # These values end up in the bundle, and YAML refuses DEL and C1
+        # controls even inside a quoted compose value.
+        texts = {}
         for section, spec in (("database", self.database), ("site", self.site)):
             for spec_field in fields(spec):
                 if spec_field.name != "http_port":

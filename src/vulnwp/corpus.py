@@ -84,6 +84,10 @@ class ExploitRecord:
     with the same values. A PoC that is gone or no longer a regular file
     by then reads as an empty head, with a logged warning; any other
     OSError from the read propagates to the reader.
+
+    load_corpus sets app_archive only when the apps/ listing shows
+    <id>.zip as a regular file, and later steps trust that: the archive
+    must stay in place until the command ends.
     """
 
     edb_id: int

@@ -69,6 +69,9 @@ BUNDLE_FILES = ("Dockerfile", "docker-compose.yml", "setup.sh", "provenance.json
 APP_SERVICE = "app"
 DB_SERVICE = "db"
 
+# The official wordpress image's document root.
+DOCROOT = "/var/www/html"
+
 _EXTENSION_DIRS = {ComponentKind.PLUGIN: "plugins", ComponentKind.THEME: "themes"}
 
 
@@ -82,7 +85,6 @@ class EnvironmentPlan:
     components: tuple[FetchedComponent, ...]
     database: DatabaseSpec
     site: SiteSpec
-    docroot: str
     unused_app_archive: str | None = None
 
     def __post_init__(self) -> None:
@@ -92,7 +94,7 @@ class EnvironmentPlan:
             raise ValueError("component slugs must be unique within a plan")
 
     def component_target(self, component: FetchedComponent) -> str:
-        return f"{self.docroot}/wp-content/{_EXTENSION_DIRS[component.kind]}/{component.slug}"
+        return f"{DOCROOT}/wp-content/{_EXTENSION_DIRS[component.kind]}/{component.slug}"
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,6 @@ def build_plan(
         components=tuple(components),
         database=config.database,
         site=config.site,
-        docroot=config.docroot,
         unused_app_archive=unused_app_archive,
     )
 
@@ -175,7 +176,7 @@ def setup_commands(plan: EnvironmentPlan) -> list[list[str]]:
     resolved, gets a check that its payload is in place and its
     activation.
     """
-    wp = ["wp", "--allow-root", f"--path={plan.docroot}"]
+    wp = ["wp", "--allow-root", f"--path={DOCROOT}"]
     site = plan.site
     commands = [
         wp + [

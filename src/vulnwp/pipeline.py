@@ -264,7 +264,7 @@ def resolve(record: ExploitRecord, services: PipelineServices) -> Resolution:
     kind = _CATEGORY_TO_KIND.get(parsed.category)  # None for core
 
     constraint = resolve_constraint(record, parsed, services.cpe)
-    has_archive = record.app_archive is not None and record.app_archive.is_file()
+    has_archive = record.app_archive is not None
     # The version names the core itself; an attached archive cannot
     # substitute for it and is recorded as unused either way.
     unused = str(record.app_archive) if kind is None and has_archive else None

@@ -14,6 +14,7 @@ attached to the exploit record itself.
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import posixpath
@@ -61,7 +62,7 @@ __all__ = [
 ]
 
 # First core release ever published to the hub; older releases have no image.
-IMAGE_VERSION_FLOOR = Version(segments=(3, 1, 0), raw="3.1.0")
+IMAGE_VERSION_FLOOR = Version(segments=(3, 1, 0))
 
 _SLUG_STRIP = re.compile(r"[^a-z0-9]+")
 
@@ -72,7 +73,6 @@ class ImageRef:
 
     repository: str
     tag: str
-    resolved_version: Version
 
     def __str__(self) -> str:
         return f"{self.repository}:{self.tag}"
@@ -148,8 +148,6 @@ class FixtureTagIndex(TagIndex):
         Raises VulnwpError naming the file when it is not UTF-8 JSON or does
         not hold a list of strings.
         """
-        import json
-
         try:
             tags = json.loads(Path(path).read_text(encoding="utf-8"))
         except ValueError as exc:
@@ -168,11 +166,7 @@ class DockerHubTagIndex(TagIndex):
     _URL = f"https://hub.docker.com/v2/repositories/library/{TagIndex.repository}/tags"
     _PAGE_SIZE = 100
 
-    def __init__(self, session=None) -> None:
-        if session is None:
-            import requests
-
-            session = requests.Session()
+    def __init__(self, session) -> None:
         self._session = session
 
     def list_tags(self) -> list[str]:
@@ -219,8 +213,7 @@ def find_core_image(constraint: VersionConstraint, index: TagIndex) -> ImageRef:
         raise NoImageError(
             f"no {index.repository} tag satisfies {constraint} at or above {IMAGE_VERSION_FLOOR}"
         )
-    version, tag = index._image_tags[at]
-    return ImageRef(repository=index.repository, tag=tag, resolved_version=version)
+    return ImageRef(repository=index.repository, tag=index._image_tags[at][1])
 
 
 def find_latest_image(index: TagIndex) -> ImageRef:
@@ -231,8 +224,7 @@ def find_latest_image(index: TagIndex) -> ImageRef:
     """
     if not index._image_tags:
         raise NoImageError(f"no versioned {index.repository} tag at or above {IMAGE_VERSION_FLOOR}")
-    version, tag = index._image_tags[-1]
-    return ImageRef(repository=index.repository, tag=tag, resolved_version=version)
+    return ImageRef(repository=index.repository, tag=index._image_tags[-1][1])
 
 
 def derive_slug(product: str) -> str:
@@ -374,11 +366,7 @@ class HttpSvnMirror(SvnMirror):
     _HREF = re.compile(r'href="([^"?]+)"')
     _TIMEOUT = 30.0
 
-    def __init__(self, plugin_url: str = PLUGIN_URL, theme_url: str = THEME_URL, session=None) -> None:
-        if session is None:
-            import requests
-
-            session = requests.Session()
+    def __init__(self, session, *, plugin_url: str = PLUGIN_URL, theme_url: str = THEME_URL) -> None:
         self._session = session
         self._urls = {ComponentKind.PLUGIN: plugin_url.rstrip("/"),
                       ComponentKind.THEME: theme_url.rstrip("/")}
@@ -427,6 +415,22 @@ class FixtureLinkDownloader(LinkDownloader):
     def __init__(self, mapping: dict[str, Path | str]) -> None:
         self._mapping = {url: Path(p) for url, p in mapping.items()}
 
+    @classmethod
+    def from_json(cls, path: Path | str) -> "FixtureLinkDownloader":
+        """Read a JSON object mapping URLs to archive paths relative to the file's directory.
+
+        Raises VulnwpError naming the file when it is not UTF-8 JSON or does
+        not hold that shape.
+        """
+        path = Path(path)
+        try:
+            mapping = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise VulnwpError(f"link map {path} is not valid JSON: {exc}") from exc
+        if not isinstance(mapping, dict) or not all(isinstance(rel, str) for rel in mapping.values()):
+            raise VulnwpError(f"link map {path} must hold a JSON object mapping URLs to paths")
+        return cls({url: path.parent / rel for url, rel in mapping.items()})
+
     def fetch(self, url: str, dest: Path) -> bool:
         archive = self._mapping.get(url)
         if archive is None or not archive.is_file():
@@ -440,11 +444,7 @@ class HttpLinkDownloader(LinkDownloader):
 
     _TIMEOUT = 60.0
 
-    def __init__(self, session=None) -> None:
-        if session is None:
-            import requests
-
-            session = requests.Session()
+    def __init__(self, session) -> None:
         self._session = session
 
     def fetch(self, url: str, dest: Path) -> bool:
@@ -526,7 +526,7 @@ def fetch_component(
             logger.info("%s %s fetched from software link %s", kind.value, slug, link)
             return FetchedComponent(kind, slug, version, ComponentSource(SourceKind.SOFTWARE_LINK, link))
 
-    if record.app_archive is not None and record.app_archive.is_file():
+    if record.app_archive is not None:
         extract_archive(record.app_archive, dest)
         locator = str(record.app_archive)
         logger.info("%s %s unpacked from attached archive %s", kind.value, slug, locator)

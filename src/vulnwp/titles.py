@@ -96,6 +96,17 @@ def _parse_target(text: str) -> ParsedTitle | None:
     return None
 
 
+def _after_prefix(title: str) -> str | None:
+    """The title, inner whitespace collapsed, past its leading "WordPress"
+    (in any case), or None unless that prefix is followed by a space or
+    nothing."""
+    text = " ".join(title.split())
+    if text[: len(_PREFIX)].lower() != _PREFIX:
+        return None
+    rest = text[len(_PREFIX):]
+    return None if rest and not rest.startswith(" ") else rest
+
+
 def parse_title(title: str) -> ParsedTitle:
     """Parse one exploit title.
 
@@ -106,11 +117,8 @@ def parse_title(title: str) -> ParsedTitle:
     hyphenated product names survive without swallowing the attack type.
     Returns category Uncategorized for anything outside the pattern.
     """
-    text = " ".join(title.split())
-    if len(text) < len(_PREFIX) or text[: len(_PREFIX)].lower() != _PREFIX:
-        return _UNCATEGORIZED
-    rest = text[len(_PREFIX):]
-    if rest and not rest.startswith(" "):
+    rest = _after_prefix(title)
+    if rest is None:
         return _UNCATEGORIZED
     rest = rest.strip()
 
@@ -140,11 +148,6 @@ def classify_corpus(corpus: "Corpus") -> dict[ExploitCategory, int]:
     """
     counts = {category: 0 for category in ExploitCategory}
     for record in corpus:
-        text = " ".join(record.title.split())
-        lowered = text.lower()
-        if not lowered.startswith(_PREFIX):
-            continue
-        if len(text) > len(_PREFIX) and text[len(_PREFIX)] != " ":
-            continue
-        counts[parse_title(record.title).category] += 1
+        if _after_prefix(record.title) is not None:
+            counts[parse_title(record.title).category] += 1
     return counts

@@ -24,7 +24,7 @@ from functools import cached_property, total_ordering
 from pathlib import Path
 
 from .corpus import POC_HEAD_LINES, ExploitRecord
-from .errors import DictionaryUnavailableError, UnknownCveError, UnparsableVersionError
+from .errors import DictionaryUnavailableError, UnknownCveError, UnparsableVersionError, VulnwpError
 
 logger = logging.getLogger(__name__)
 
@@ -58,7 +58,6 @@ class Version:
     """
 
     segments: tuple[int, ...]
-    raw: str
     key: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -88,7 +87,7 @@ class Version:
             if strict:
                 raise UnparsableVersionError(f"not a dotted numeric version: {text!r}")
             logger.warning("stripping version suffix %r from %r", raw[len(numeric):], raw)
-        return cls(segments=tuple(int(s) for s in numeric.split(".")), raw=raw)
+        return cls(segments=tuple(int(s) for s in numeric.split(".")))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Version):
@@ -156,15 +155,12 @@ class VersionConstraint:
             return candidate <= self.versions[0]
         return any(candidate == v for v in self.versions)
 
-    def render(self) -> str:
+    def __str__(self) -> str:
         if self.kind is ConstraintKind.UPPER_BOUND_EXCLUSIVE:
             return f"< {self.versions[0]}"
         if self.kind is ConstraintKind.UPPER_BOUND_INCLUSIVE:
             return f"<= {self.versions[0]}"
         return "/".join(str(v) for v in self.versions)
-
-    def __str__(self) -> str:
-        return self.render()
 
 
 def parse_version_expr(expr: str, lenient: bool = False) -> VersionConstraint:
@@ -231,12 +227,10 @@ def extract_version_from_poc(record: ExploitRecord) -> VersionConstraint | None:
 
 @dataclass(frozen=True)
 class CpeEntry:
-    """One CPE 2.3 dictionary entry reduced to vendor, product, version."""
+    """One CPE 2.3 dictionary entry reduced to product and version."""
 
-    vendor: str
     product: str
     version: Version
-    raw_cpe: str
 
 
 class CpeDictionary(ABC):
@@ -260,25 +254,29 @@ class CpeDictionary(ABC):
 class FixtureCpeDictionary(CpeDictionary):
     """Dictionary backed by a local JSON map of CVE id to CPE string list."""
 
-    def __init__(self, path: Path) -> None:
-        self._path = Path(path)
-        self._entries: dict[str, list[str]] | None = None
+    def __init__(self, path: Path | str) -> None:
+        """Read the file: a JSON object mapping CVE ids to lists of CPE strings.
 
-    def _load(self) -> dict[str, list[str]]:
-        if self._entries is None:
-            try:
-                raw = json.loads(self._path.read_text(encoding="utf-8"))
-            except (OSError, ValueError) as exc:
-                raise DictionaryUnavailableError(f"cannot load CPE fixture {self._path}: {exc}") from exc
-            self._entries = {str(k).upper(): list(v) for k, v in raw.items()}
-        return self._entries
+        Raises VulnwpError naming the file when it is not UTF-8 JSON or does
+        not hold that shape; OSError when it cannot be read.
+        """
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise VulnwpError(f"CPE dictionary {path} is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict) or not all(
+            isinstance(cpes, list) and all(isinstance(cpe, str) for cpe in cpes) for cpes in raw.values()
+        ):
+            raise VulnwpError(
+                f"CPE dictionary {path} must hold a JSON object mapping CVE ids to lists of strings"
+            )
+        self._entries = {cve.upper(): cpes for cve, cpes in raw.items()}
 
     def cpes_for(self, cve_id: str) -> list[str]:
-        entries = self._load()
         key = cve_id.upper()
-        if key not in entries:
+        if key not in self._entries:
             raise UnknownCveError(f"no dictionary entry for {cve_id}")
-        return list(entries[key])
+        return list(self._entries[key])
 
 
 class NvdCpeDictionary(CpeDictionary):
@@ -287,11 +285,7 @@ class NvdCpeDictionary(CpeDictionary):
     DEFAULT_URL = "https://services.nvd.nist.gov/rest/json/cves/2.0"
     _TIMEOUT = 30.0
 
-    def __init__(self, base_url: str = DEFAULT_URL, session=None) -> None:
-        if session is None:
-            import requests
-
-            session = requests.Session()
+    def __init__(self, session, *, base_url: str = DEFAULT_URL) -> None:
         self._session = session
         self._base_url = base_url
 
@@ -320,7 +314,7 @@ class NvdCpeDictionary(CpeDictionary):
         return found
 
 
-def parse_cpe(raw_cpe: str) -> CpeEntry | None:
+def parse_cpe(cpe: str) -> CpeEntry | None:
     """Parse a CPE 2.3 formatted string into an entry, or None.
 
     Strings that do not have the 13 colon separated components, or whose
@@ -328,16 +322,15 @@ def parse_cpe(raw_cpe: str) -> CpeEntry | None:
     "-" placeholders, suffixed versions), yield None. Escaped colons are
     not handled; full CPE matching semantics are out of scope.
     """
-    parts = raw_cpe.split(":")
+    parts = cpe.split(":")
     if len(parts) != 13 or parts[0] != "cpe" or parts[1] != "2.3":
-        logger.debug("skipping malformed CPE string %r", raw_cpe)
+        logger.debug("skipping malformed CPE string %r", cpe)
         return None
-    vendor, product, version_text = parts[3], parts[4], parts[5]
     try:
-        version = Version.parse(version_text)
+        version = Version.parse(parts[5])
     except UnparsableVersionError:
         return None
-    return CpeEntry(vendor=vendor, product=product, version=version, raw_cpe=raw_cpe)
+    return CpeEntry(product=parts[4], version=version)
 
 
 def resolve_versions_from_cve(cve_id: str, dictionary: CpeDictionary) -> list[CpeEntry]:

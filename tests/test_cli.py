@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -227,6 +228,11 @@ class TestGenerateCommand:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_emit_on_fixtures_imports_no_http_library(self, e2e_tree, tmp_path, capsys, monkeypatch):
+        # None in sys.modules makes `import requests` raise ImportError.
+        monkeypatch.setitem(sys.modules, "requests", None)
+        assert main(base_args(e2e_tree, tmp_path / "out") + ["batch"]) == 0
+
     def test_missing_fixture_registry_is_a_usage_error(self, e2e_tree, tmp_path, capsys):
         code = main(
             [
@@ -252,7 +258,7 @@ class TestBootstrapMode:
         executor = RecordingExecutor(fail_on=fail_on)
         readiness = ScriptedClient(SimulatedClock(), ready_at=0.0)
         monkeypatch.setattr("vulnwp.cli.DockerExecutor", lambda: executor)
-        monkeypatch.setattr("vulnwp.cli.HttpReadinessClient", lambda: readiness)
+        monkeypatch.setattr("vulnwp.cli.HttpReadinessClient", lambda session: readiness)
         return executor, readiness
 
     def test_failing_build_is_a_setup_failure(self, e2e_tree, tmp_path, capsys, monkeypatch):
@@ -389,6 +395,10 @@ class TestBatchAndStats:
             ("registry_tags.json", '{"a": 1}', "must hold a JSON list of strings"),
             ("links.json", "{bad", "is not valid JSON"),
             ("links.json", '["a"]', "must hold a JSON object mapping URLs to paths"),
+            ("cpe_dictionary.json", "{bad", "is not valid JSON"),
+            ("cpe_dictionary.json", '["x"]', "must hold a JSON object mapping CVE ids to lists of strings"),
+            ("cpe_dictionary.json", '{"CVE-2017-5487": "cpe:2.3:a:wordpress:wordpress:4.7:*:*:*:*:*:*:*"}',
+             "must hold a JSON object mapping CVE ids to lists of strings"),
         ],
     )
     def test_malformed_fixture_file_is_a_usage_error(self, tmp_path, capsys, name, text, complaint):

@@ -46,7 +46,7 @@ from vulnwp.resolvers import (
 from vulnwp.versions import Version
 
 CONFIG = GeneratorConfig()
-IMAGE = ImageRef(repository="wordpress", tag="5.0", resolved_version=Version.parse("5.0"))
+IMAGE = ImageRef(repository="wordpress", tag="5.0")
 STAMP = datetime(2021, 5, 1, tzinfo=timezone.utc)
 
 
@@ -561,13 +561,13 @@ def provenance_plans(draw) -> EnvironmentPlan:
             kind=draw(st.sampled_from(ComponentKind)),
             slug=slug,
             version=draw(st.none() | st.lists(st.integers(0, 10**6), min_size=1, max_size=4).map(
-                lambda segments: Version(tuple(segments), ".".join(map(str, segments)))
+                lambda segments: Version(tuple(segments))
             )),
             source=ComponentSource(draw(st.sampled_from(SourceKind)), draw(_texts.filter(bool))),
         )
         for slug in slugs
     ]
-    image = ImageRef(draw(_texts), draw(_texts), Version.parse("5.0"))
+    image = ImageRef(draw(_texts), draw(_texts))
     return build_plan(
         image,
         components,

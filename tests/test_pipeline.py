@@ -9,6 +9,7 @@ import pytest
 import vulnwp.pipeline
 from vulnwp.bootstrap import ReadinessClient, SimulatedClock
 from vulnwp.corpus import load_corpus
+from vulnwp.errors import DictionaryUnavailableError
 from vulnwp.iac import BUNDLE_FILES, setup_commands, staging_dir
 from vulnwp.pipeline import (
     FailureReason,
@@ -32,7 +33,7 @@ from vulnwp.resolvers import (
     TagIndex,
 )
 from vulnwp.titles import parse_title
-from vulnwp.versions import FixtureCpeDictionary, Version, VersionConstraint
+from vulnwp.versions import CpeDictionary, FixtureCpeDictionary, Version, VersionConstraint
 
 from conftest import E2E_EXPECTED, make_record
 from test_bootstrap import RecordingExecutor, ScriptedClient
@@ -104,13 +105,17 @@ class TestResolveConstraint:
         parsed = parse_title(record.title)
         assert resolve_constraint(record, parsed, self._cpe(e2e_tree)) is None
 
-    def test_unavailable_dictionary_downgrades_to_none(self, tmp_path):
+    def test_unavailable_dictionary_downgrades_to_none(self):
         record = make_record(
             title="WordPress Core - User Enumeration", cve_ids=("CVE-2017-5487",)
         )
         parsed = parse_title(record.title)
-        missing = FixtureCpeDictionary(tmp_path / "absent.json")
-        assert resolve_constraint(record, parsed, missing) is None
+        assert resolve_constraint(record, parsed, UnavailableCpeDictionary()) is None
+
+
+class UnavailableCpeDictionary(CpeDictionary):
+    def cpes_for(self, cve_id):
+        raise DictionaryUnavailableError("dictionary offline")
 
 
 @pytest.fixture()
@@ -248,6 +253,17 @@ class TestGenerateEdges:
         assert outcome.reason is FailureReason.NO_VULNERABLE_APPLICATION
         assert not services.out_dir.exists() or not any(services.out_dir.iterdir())
         assert removals == []
+
+    def test_archive_removed_after_load_is_a_fetch_failure(self, e2e_tree, services, tmp_path):
+        # The loader's listing settles that the archive is there; 105 has no
+        # SVN tree and no software link, so the attached archive is its source.
+        corpus_dir = tmp_path / "corpus"
+        shutil.copytree(e2e_tree.corpus_dir, corpus_dir)
+        corpus = load_corpus(corpus_dir / "files_exploits.csv", corpus_dir)
+        (corpus_dir / "apps" / "105.zip").unlink()
+        outcome = generate(corpus.records[105], services)
+        assert outcome.reason is FailureReason.FETCH_FAILURE
+        assert not services.out_dir.exists() or not any(services.out_dir.iterdir())
 
     def test_unwritable_out_dir_is_a_setup_error(self, e2e_tree, e2e_corpus, tmp_path):
         blocker = tmp_path / "out"

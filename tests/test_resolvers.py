@@ -150,7 +150,7 @@ class TestFindCoreImage:
 
     def test_floor_itself_is_eligible(self, registry):
         image = find_core_image(parse_version_expr("3.1.0"), registry)
-        assert image.resolved_version == IMAGE_VERSION_FLOOR
+        assert ver(image.tag) == IMAGE_VERSION_FLOOR
 
     def test_non_version_tags_are_ignored(self):
         index = FixtureTagIndex(["latest", "cli", "5.0-php7.2-apache"])
@@ -185,7 +185,7 @@ class TestFindCoreImage:
                     find_core_image(make_constraint(shape, texts), index)
             else:
                 image = find_core_image(make_constraint(shape, texts), index)
-                assert (image.tag, image.resolved_version.raw) == (expected, expected)
+                assert image.tag == expected
         latest = oracle_pick(tags)
         if latest is None:
             with pytest.raises(NoImageError):
@@ -204,7 +204,8 @@ class TestFindCoreImage:
     def test_adding_tags_never_lowers_resolution(self, registry):
         base = find_core_image(parse_version_expr("< 4.7.1"), registry)
         grown = FixtureTagIndex(registry.list_tags() + ["4.6.2"])
-        assert find_core_image(parse_version_expr("< 4.7.1"), grown).resolved_version >= base.resolved_version
+        grown_tag = find_core_image(parse_version_expr("< 4.7.1"), grown).tag
+        assert ver(grown_tag) >= ver(base.tag)
 
 
 class TestFindLatestImage:

@@ -12,6 +12,7 @@ from vulnwp.errors import (
     DictionaryUnavailableError,
     UnknownCveError,
     UnparsableVersionError,
+    VulnwpError,
 )
 from vulnwp.pipeline import resolve_constraint
 from vulnwp.titles import parse_title
@@ -109,11 +110,11 @@ class TestVersionOrdering:
         assert [padded(list(v.segments)) for v in ordered] == sorted(padded(s) for s in lists)
 
     def test_constructor_and_text_forms_are_unchanged(self):
-        version = Version(segments=(4, 7, 0), raw="4.7.0")
-        assert (version.segments, version.raw) == ((4, 7, 0), "4.7.0")
+        version = Version(segments=(4, 7, 0))
+        assert version.segments == (4, 7, 0)
         assert str(version) == "4.7.0"
         assert repr(version) == "Version(4.7.0)"
-        assert version == Version(segments=(4, 7), raw="4.7")
+        assert version == Version(segments=(4, 7))
 
     @given(segment_lists, segment_lists, segment_lists)
     def test_transitivity(self, a, b, c):
@@ -206,7 +207,7 @@ class TestConstraints:
             constraint = VersionConstraint.upper_bound(versions[0], inclusive=True)
         else:
             constraint = VersionConstraint.version_set(versions)
-        assert parse_version_expr(constraint.render()) == constraint
+        assert parse_version_expr(str(constraint)) == constraint
 
 
 class TestPocExtraction:
@@ -247,11 +248,10 @@ class TestPocExtraction:
 
 
 class TestCpeDictionary:
-    def test_parse_cpe_extracts_vendor_product_version(self):
-        entry = parse_cpe("cpe:2.3:a:wordpress:wordpress:4.7:*:*:*:*:*:*:*")
+    def test_parse_cpe_extracts_product_version(self):
+        entry = parse_cpe("cpe:2.3:a:acme:widget:4.7:*:*:*:*:*:*:*")
         assert entry is not None
-        assert (entry.vendor, entry.product) == ("wordpress", "wordpress")
-        assert entry.version == ver("4.7")
+        assert (entry.product, entry.version) == ("widget", ver("4.7"))
 
     @pytest.mark.parametrize(
         "raw",
@@ -281,16 +281,23 @@ class TestCpeDictionary:
         with pytest.raises(UnknownCveError):
             dictionary.cpes_for("CVE-1999-0001")
 
-    def test_missing_fixture_raises_unavailable(self, tmp_path):
-        dictionary = FixtureCpeDictionary(tmp_path / "absent.json")
-        with pytest.raises(DictionaryUnavailableError):
-            dictionary.cpes_for("CVE-2017-5487")
+    def test_missing_fixture_is_refused_when_built(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            FixtureCpeDictionary(tmp_path / "absent.json")
 
-    def test_corrupt_fixture_raises_unavailable(self, tmp_path):
+    @pytest.mark.parametrize("data", [
+        b"{not json",
+        b"\xff{}",
+        b'["x"]',
+        b'{"CVE-2017-5487": "cpe:2.3:a:wordpress:wordpress:4.7:*:*:*:*:*:*:*"}',
+        b'{"CVE-2017-5487": 5}',
+        b'{"CVE-2017-5487": [5]}',
+    ])
+    def test_malformed_fixture_is_refused_when_built(self, tmp_path, data):
         path = tmp_path / "broken.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(DictionaryUnavailableError):
-            FixtureCpeDictionary(path).cpes_for("CVE-2017-5487")
+        path.write_bytes(data)
+        with pytest.raises(VulnwpError, match="broken.json"):
+            FixtureCpeDictionary(path)
 
     def test_lookup_is_case_insensitive(self, tmp_path):
         path = tmp_path / "cpes.json"
