@@ -105,9 +105,9 @@ class GeneratorConfig:
             raise VulnwpError(f"config {path} must hold a JSON object")
         config = cls()
         for section in ("database", "site"):
-            overrides = payload.pop(section, None)
-            if overrides is None:
+            if section not in payload:
                 continue
+            overrides = payload.pop(section)
             if not isinstance(overrides, dict):
                 raise VulnwpError(f"config section {section} must be a JSON object")
             spec = getattr(config, section)

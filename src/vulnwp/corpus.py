@@ -4,18 +4,15 @@ The on-disk layout mirrors a public exploit database dump: a CSV index
 (columns id, file, description, date, author, type, platform, and an
 optional codes column with semicolon separated CVE ids), PoC files
 referenced by relative path, and optional attached application archives
-named <edb_id>.zip. Loading checks each PoC path once, and a path that
-is not a regular file reads as a missing PoC. The check lists each PoC
-folder once: a name the listing shows as a regular file, or a link to
-one, is present; any other path (a name the listing lacks, one that ends
-in "/", each path in a folder that cannot be listed) falls back to a
-stat of its own, which gives the same answer. A PoC is read, with one
-open, when its record's poc_text or poc_header is first used, so a
-command reads only the PoCs it needs and the corpus tree must stay in
-place until the command ends. Only the head of a PoC is kept: the first
-POC_HEAD_LINES lines, which are all the header and version scans read.
-The header is parsed from the head; the head itself is kept only when
-the version body scan could match in it (see ExploitRecord).
+named <edb_id>.zip. Loading reads the index and lists apps/, and touches
+no PoC. A PoC is read, with one open, when its record's poc_text or
+poc_header is first used, so a command reads only the PoCs it needs and
+the corpus tree must stay in place until the command ends. That read is
+the one check of a PoC path: a path that is not a regular file, or a
+link to one, reads as an empty head. Only the head of a PoC is kept: the
+first POC_HEAD_LINES lines, which are all the header and version scans
+read. The header is parsed from the head; the head itself is kept only
+when the version body scan could match in it (see ExploitRecord).
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ import stat
 import sys
 from collections.abc import Iterator
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
@@ -81,9 +78,9 @@ class ExploitRecord:
     The constructor takes both fields as given. A record from load_corpus
     keeps its PoC path instead and fills both fields the first time
     either is read; after that it equals, and reprs as, a record built
-    with the same values. A PoC that is gone or no longer a regular file
-    by then reads as an empty head, with a logged warning; any other
-    OSError from the read propagates to the reader.
+    with the same values. A PoC that is missing or not a regular file
+    reads as an empty head, with a logged warning; any other OSError from
+    the read propagates to the reader.
 
     load_corpus sets app_archive only when the apps/ listing shows
     <id>.zip as a regular file, and later steps trust that: the archive
@@ -112,7 +109,7 @@ class ExploitRecord:
                                  name=name, obj=self)
         head = _read_poc_head(path)
         if head is None:
-            logger.warning("PoC file %s for exploit %s is gone or not a regular file, "
+            logger.warning("PoC file %s for exploit %s is missing or not a regular file, "
                            "read as empty", path, self.edb_id)
             head = "", []
         text, lines = head
@@ -138,7 +135,6 @@ class Corpus:
     records: dict[int, ExploitRecord]
     source_path: str
     snapshot_date: date
-    warnings: list[str] = field(default_factory=list, compare=False)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -335,17 +331,14 @@ def load_corpus(index_path: Path | str, files_root: Path | str) -> Corpus:
 
     The index's file column is relative to files_root; attached archives
     are read from <files_root>/apps/<edb_id>.zip, a regular file or a link
-    to one; the snapshot date is today. Each PoC path is checked once, by
-    its folder's listing or, where that does not show it as a regular
-    file, by a stat of its own (see the module docstring). It is read
-    only when its record's poc_text or poc_header is first used (see
-    ExploitRecord): the header is parsed from the first POC_HEAD_LINES
+    to one; the snapshot date is today. Loading reads the index and lists
+    apps/, and nothing else: each record keeps its PoC path, and the PoC is
+    read only when its record's poc_text or poc_header is first used (see
+    ExploitRecord). The header is parsed from the first POC_HEAD_LINES
     lines, which are kept as poc_text only when the version body scan
-    could match in them. A path that is anything but a regular
-    file or a link to one (a directory, a FIFO, a device, a dangling link)
-    is a missing PoC, like a path that does not exist. A row whose PoC
-    file is missing still yields a record (empty poc_text and poc_header)
-    and a corpus warning.
+    could match in them. A path that is anything but a regular file or a
+    link to one (a directory, a FIFO, a device, a dangling link, a path
+    that does not exist) reads as an empty head, with a logged warning.
     Blank index lines are skipped. Raises IndexUnreadableError for a
     missing or malformed index, including a row that lacks a required
     column, naming a row by the index line it starts on, and
@@ -376,12 +369,11 @@ def load_corpus(index_path: Path | str, files_root: Path | str) -> Corpus:
         except (FileNotFoundError, NotADirectoryError):
             app_files = set()
         # Each PoC folder, as the text of the file column up to its last "/",
-        # maps to its path and the names of the regular files in it.
-        folders: dict[str, tuple[str, set[str]]] = {}
+        # maps to os.path.join(root, folder).
+        folders: dict[str, str] = {}
         dates: dict[str, date] = {}
         new_record, set_attribute, intern = object.__new__, object.__setattr__, sys.intern
         records: dict[int, ExploitRecord] = {}
-        warnings: list[str] = []
         for row_number, row in rows:
             edb_id, rel_file, published = _parse_row(
                 row, columns, last_required, row_number, dates
@@ -391,24 +383,13 @@ def load_corpus(index_path: Path | str, files_root: Path | str) -> Corpus:
 
             head, slash, name = rel_file.rpartition("/")
             folder_key = head + slash
-            folder = folders.get(folder_key)
-            if folder is None:
-                folder_path = os.path.join(root, folder_key)
-                try:
-                    names = _regular_files(folder_path or os.curdir)
-                except (OSError, ValueError):
-                    names = set()
-                folder = folders[folder_key] = folder_path, names
-            folder_path, names = folder
-            # The path os.path.join(root, rel_file) gives. A name the listing
-            # lacks (one that is no file, or that names the file in another
-            # case, or an empty name after a trailing "/") is checked on its own.
-            poc_path = folder_path + name
-            has_poc = name in names or _is_regular_file(poc_path)
+            folder_path = folders.get(folder_key)
+            if folder_path is None:
+                folder_path = folders[folder_key] = os.path.join(root, folder_key)
 
             # Set field by field, which is cheaper than the keyword constructor.
-            # A record with a PoC leaves poc_text and poc_header unset, so that
-            # their first read fills them (see ExploitRecord).
+            # poc_text and poc_header stay unset, so that their first read
+            # fills them from the PoC path (see ExploitRecord).
             record = new_record(ExploitRecord)
             set_attribute(record, "edb_id", edb_id)
             set_attribute(record, "title", row[description_at].strip())
@@ -418,24 +399,15 @@ def load_corpus(index_path: Path | str, files_root: Path | str) -> Corpus:
             set_attribute(record, "platform", intern(row[platform_at].strip()))
             codes = row[codes_at] if codes_at is not None and codes_at < len(row) else None
             set_attribute(record, "cve_ids", _parse_cve_codes(codes))
-            if not has_poc:
-                set_attribute(record, "poc_text", "")
-                set_attribute(record, "poc_header", {})
             archive_name = f"{edb_id}.zip"
             set_attribute(record, "app_archive",
                           apps_root / archive_name if archive_name in app_files else None)
-            if has_poc:
-                set_attribute(record, "_poc_path", poc_path)
-            else:
-                warnings.append(
-                    f"{edb_id}: PoC file {rel_file} missing, record loaded without text"
-                )
-                logger.warning("PoC file %s missing for exploit %s", rel_file, edb_id)
+            # The path os.path.join(root, rel_file) gives.
+            set_attribute(record, "_poc_path", folder_path + name)
             records[edb_id] = record
 
     return Corpus(
         records=records,
         source_path=str(index_path),
         snapshot_date=date.today(),
-        warnings=warnings,
     )

@@ -23,7 +23,7 @@ from typing import Iterable
 
 from .corpus import Corpus
 from .errors import UnknownRecordError, VulnwpError
-from .iac import BundleManifest
+from .iac import BundleManifest, _json_string
 from .pipeline import (
     FailureReason,
     GenerationMode,
@@ -185,7 +185,6 @@ def render_json(report: BatchReport) -> str:
 
 
 _ROW_DECODER = json.JSONDecoder()
-_json_string = json.encoder.encode_basestring_ascii
 # float.__repr__ of the floats JSON has no literal for, and what the C
 # encoder writes for them.
 _FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

@@ -147,15 +147,20 @@ class TestGenerateCommand:
         compose = yaml.safe_load((out / "101" / "docker-compose.yml").read_text())
         assert compose["services"]["app"]["ports"] == ["9191:80"]
 
-    def test_bad_config_key_is_a_usage_error(self, e2e_tree, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "key, value",
+        [("sitee", {}), ("docroot", "/var/www/html\x00"),
+         ("readiness_path", "/wp-admin/install.php\r\n")],
+    )
+    def test_bad_config_key_is_a_usage_error(self, e2e_tree, tmp_path, capsys, key, value):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"sitee": {}}), encoding="utf-8")
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
         code = main(
             base_args(e2e_tree, tmp_path / "out")
             + ["--config", str(config), "generate", "--edb-id", "101"]
         )
         assert code == 1
-        assert "error: unknown config keys: ['sitee']" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", f"error: unknown config keys: ['{key}']\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -163,6 +168,8 @@ class TestGenerateCommand:
         [
             '{"site": {"http_portt": 80}}',
             '{"site": 8080}',
+            '{"site": null}',
+            '{"database": null}',
             '{"probe_interval": 0}',
             '{"probe_interval": -1}',
             '{"probe_interval": "10"}',
@@ -209,8 +216,6 @@ class TestGenerateCommand:
             {"site": {"http_port": 0}},
             {"site": {"http_port": 65536}},
             {"site": {"admin_user": ""}},
-            {"docroot": "/var/www/html\x00"},
-            {"readiness_path": "/wp-admin/install.php\r\n"},
         ],
     )
     def test_value_that_would_break_the_bundle_is_refused(
@@ -481,6 +486,32 @@ class TestPocsReadAtFirstUse:
         if tree is not DEMO:
             assert 0 < len(reads) < len(corpus)
             assert svn_missed - versionless
+
+    def test_missing_poc_that_no_command_reads_is_not_reported(
+        self, e2e_tree, tmp_path, capsys, caplog, monkeypatch
+    ):
+        # Record 103's title carries its version and its SVN tag is there, so
+        # its PoC is never read: without it every command runs as with it.
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        corpus = tmp_path / "corpus"
+        shutil.copytree(e2e_tree.corpus_dir, corpus)
+        tree = E2ETree(corpus_dir=corpus, fixtures_dir=e2e_tree.fixtures_dir)
+        out = tmp_path / "out"
+        outcomes = out / "outcomes.ndjson"
+        assert main(base_args(tree, out) + ["batch"]) == 0
+        full = list(map(without_elapsed, outcomes.read_text(encoding="utf-8").splitlines()))
+        (corpus / "exploits" / "103.txt").unlink()
+        caplog.clear()
+        assert main(base_args(tree, out) + ["batch"]) == 0
+        assert list(map(without_elapsed, outcomes.read_text(encoding="utf-8").splitlines())) == full
+        # The batch's one warning is record 116's corrupt archive.
+        assert [r.name for r in caplog.records] == ["vulnwp.pipeline"]
+        capsys.readouterr()
+        caplog.clear()
+        assert main(base_args(tree, out) + ["stats", str(outcomes)]) == 0
+        assert main(base_args(tree, tmp_path / "one") + ["generate", "--edb-id", "101"]) == 0
+        assert capsys.readouterr().err == ""
+        assert caplog.records == []
 
     @pytest.mark.parametrize("command", [["generate", "--edb-id", "110"], ["batch"]])
     def test_unreadable_poc_is_a_usage_error(

@@ -86,6 +86,11 @@ def refuse_reading(monkeypatch, poc: str) -> None:
     monkeypatch.setattr(corpus_module, "open", refusing_open, raising=False)
 
 
+def read_as_empty(path, edb_id: int = 1) -> str:
+    """The warning the first read of a missing PoC logs."""
+    return f"PoC file {path} for exploit {edb_id} is missing or not a regular file, read as empty"
+
+
 def load_one(root: Path, text: str | None = None, **overrides):
     """Load a one-row corpus under root; text, when given, is the PoC of id 1."""
     if text is not None:
@@ -94,10 +99,11 @@ def load_one(root: Path, text: str | None = None, **overrides):
 
 
 class TestLoadCorpus:
-    def test_loads_fixture_corpus_completely(self, e2e_tree):
+    def test_loads_fixture_corpus_completely(self, e2e_tree, caplog):
         corpus = e2e_tree.load()
         assert len(corpus) == 20
-        assert corpus.warnings == []
+        assert all(record.poc_header for record in corpus)
+        assert caplog.records == []
         record = corpus.records[103]
         assert record.title == "WordPress Plugin Quiz Master 7.1.3 - SQL Injection"
         assert record.published == date(2018, 6, 12)
@@ -115,13 +121,15 @@ class TestLoadCorpus:
         assert corpus.records[113].cve_ids == ("CVE-2017-5487",)
         assert corpus.records[101].cve_ids == ()
 
-    def test_missing_poc_file_warns_but_loads(self, tmp_path):
+    def test_missing_poc_file_warns_but_loads(self, tmp_path, caplog):
         index = write_index(tmp_path / "files_exploits.csv", [row(1)])
         corpus = load_corpus(index, tmp_path)
         assert len(corpus) == 1
+        assert caplog.records == []
         assert corpus.records[1].poc_text == ""
-        assert len(corpus.warnings) == 1
-        assert "1" in corpus.warnings[0]
+        assert corpus.records[1].poc_header == {}
+        poc = os.path.join(tmp_path, "exploits", "1.txt")
+        assert [r.getMessage() for r in caplog.records] == [read_as_empty(poc)]
 
     def test_duplicate_id_raises(self, tmp_path):
         index = write_index(tmp_path / "files_exploits.csv", [row(7), row(7)])
@@ -283,31 +291,37 @@ class TestLoadCorpus:
         corpus = load_corpus(path, tmp_path)
         assert corpus.records[1].cve_ids == ()
 
-    def test_poc_path_that_is_a_directory_warns_and_loads(self, tmp_path):
+    def test_poc_path_that_is_a_directory_warns_and_loads(self, tmp_path, caplog):
         (tmp_path / "exploits" / "1.txt").mkdir(parents=True)
         corpus = load_one(tmp_path)
+        assert caplog.records == []
         assert corpus.records[1].poc_text == ""
         assert corpus.records[1].poc_header == {}
-        assert corpus.warnings == ["1: PoC file exploits/1.txt missing, record loaded without text"]
+        poc = os.path.join(tmp_path, "exploits", "1.txt")
+        assert [r.getMessage() for r in caplog.records] == [read_as_empty(poc)]
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_poc_path_that_is_a_fifo_warns_and_loads(self, tmp_path):
+    def test_poc_path_that_is_a_fifo_warns_and_loads(self, tmp_path, caplog):
         # Opening a FIFO for reading blocks until a writer comes, so the load
-        # runs in a thread that the test gives up on rather than hang.
+        # and the first read run in a thread that the test gives up on rather
+        # than hang.
         fifo = tmp_path / "exploits" / "1.txt"
         fifo.parent.mkdir()
         os.mkfifo(fifo)
         loaded = []
-        loader = threading.Thread(target=lambda: loaded.append(load_one(tmp_path)), daemon=True)
+
+        def load_and_read():
+            record = load_one(tmp_path).records[1]
+            loaded.append((len(caplog.records), record.poc_text, record.poc_header))
+
+        loader = threading.Thread(target=load_and_read, daemon=True)
         loader.start()
         loader.join(timeout=10)
         if loader.is_alive():
             os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))  # release the blocked open
-            pytest.fail("opening a FIFO named as a PoC blocked the load")
-        (corpus,) = loaded
-        assert corpus.records[1].poc_text == ""
-        assert corpus.records[1].poc_header == {}
-        assert corpus.warnings == ["1: PoC file exploits/1.txt missing, record loaded without text"]
+            pytest.fail("opening a FIFO named as a PoC blocked the load or the read")
+        assert loaded == [(0, "", {})]
+        assert [r.getMessage() for r in caplog.records] == [read_as_empty(fifo)]
 
     def test_record_keeps_the_first_lines_with_their_endings(self, tmp_path):
         # The U+2028 ending makes the head non-ASCII, so it is kept.
@@ -417,8 +431,9 @@ class TestAppArchives:
 
 # Reference index reader on csv.DictReader, which skips blank lines, fills
 # the columns a short row lacks with None and lets the last of duplicate
-# column names win. The loader must load the same records and warnings from
-# any index text, or raise the same error; row numbers are checked above.
+# column names win. The loader must load the same records, each with the PoC
+# path the file column names, from any index text, or raise the same error;
+# row numbers are checked above.
 _REQUIRED_INDEX_COLUMNS = INDEX_COLUMNS[:-1]
 
 
@@ -430,7 +445,7 @@ def reference_load_index(path: Path):
             missing = sorted(set(_REQUIRED_INDEX_COLUMNS) - fieldnames)
             if missing:
                 raise IndexUnreadableError(f"index {path} lacks columns: {', '.join(missing)}")
-            records, warnings = {}, []
+            records, poc_paths = {}, {}
             # Rows are checked as they are read, as the loader reads them.
             for row in reader:
                 missing = sorted(c for c in _REQUIRED_INDEX_COLUMNS if row[c] is None)
@@ -463,12 +478,10 @@ def reference_load_index(path: Path):
                     row["platform"].strip(),
                     tuple(cve for cve in cves if re.fullmatch(r"CVE-\d{4}-\d{4,}", cve)),
                 )
-                warnings.append(
-                    f"{edb_id}: PoC file {row['file']} missing, record loaded without text"
-                )
+                poc_paths[edb_id] = os.path.join(path.parent, row["file"])
     except csv.Error as exc:
         raise IndexUnreadableError(f"index {path} is not valid CSV: {exc}") from exc
-    return records, warnings
+    return records, poc_paths
 
 
 def loaded_index_fields(path: Path):
@@ -477,7 +490,8 @@ def loaded_index_fields(path: Path):
         edb_id: (r.edb_id, r.title, r.author, r.vuln_type, r.published, r.platform, r.cve_ids)
         for edb_id, r in corpus.records.items()
     }
-    return records, corpus.warnings
+    poc_paths = {edb_id: r._poc_path for edb_id, r in corpus.records.items()}
+    return records, poc_paths
 
 
 def outcome(load, path: Path):
@@ -750,9 +764,8 @@ class TestPocReadAtFirstUse:
             record = corpus.records[1]
             assert record.poc_header == {}
             assert record.poc_text == ""
-        assert corpus.warnings == []
         (message,) = [r.getMessage() for r in caplog.records]
-        assert message == f"PoC file {poc} for exploit 1 is gone or not a regular file, read as empty"
+        assert message == read_as_empty(poc)
 
     def test_unreadable_poc_raises_at_first_use(self, tmp_path, monkeypatch):
         corpus = load_one(tmp_path, "# Version: 1.0\n")
@@ -765,14 +778,16 @@ class TestPocReadAtFirstUse:
         assert record.poc_header == {"version": "1.0"}
 
     @pytest.mark.parametrize("kind", ["dangling", "loop"])
-    def test_poc_link_that_leads_nowhere_warns_at_load(self, tmp_path, poc_reads, kind):
+    def test_poc_link_that_leads_nowhere_warns_at_first_use(self, tmp_path, caplog, poc_reads,
+                                                            kind):
         link = tmp_path / "exploits" / "1.txt"
         link.parent.mkdir()
         link.symlink_to(tmp_path / "gone.txt" if kind == "dangling" else link)
         corpus = load_one(tmp_path)
-        assert corpus.warnings == ["1: PoC file exploits/1.txt missing, record loaded without text"]
+        assert (caplog.records, poc_reads) == ([], [])
         assert (corpus.records[1].poc_text, corpus.records[1].poc_header) == ("", {})
-        assert poc_reads == []
+        assert [r.getMessage() for r in caplog.records] == [read_as_empty(link)]
+        assert poc_reads == [str(link)]
 
     def test_threads_reaching_unread_records_at_once_see_the_same_values(self, tmp_path):
         texts = {edb_id: f"# Version: {edb_id}.0\nversion {edb_id}.0 is affected\n"
@@ -856,7 +871,7 @@ class TestLoadedRecordsMatchConstructedOnes:
 
     @pytest.mark.parametrize("first", ["compare", "fields"])
     def test_each_record_matches_before_and_after_its_poc_is_read(
-        self, tmp_path, poc_reads, first
+        self, tmp_path, caplog, poc_reads, first
     ):
         corpus = self.load(tmp_path)
         assert poc_reads == []
@@ -871,14 +886,15 @@ class TestLoadedRecordsMatchConstructedOnes:
                     assert type(getattr(loaded, entry.name)) is type(getattr(built, entry.name))
                 assert loaded == built and built == loaded
                 assert repr(loaded) == repr(built)
-        assert poc_reads == [os.path.join(tmp_path, "exploits", f"{i}.txt") for i in (1, 2, 4)]
+        paths = [os.path.join(tmp_path, "exploits", f"{i}.txt") for i in self.TEXTS]
+        assert poc_reads == paths
+        assert [r.getMessage() for r in caplog.records] == [read_as_empty(paths[2], 3)]
 
 
-class TestPocListing:
-    """A PoC folder's listing settles most PoC checks; a path it does not
-    show as a regular file gets a check of its own. The two ways must agree
-    on which PoCs are present, on the path each record reads, and on the
-    warnings and log lines of the load."""
+class TestPocCheckAtFirstRead:
+    """Loading checks no PoC path; the read at first use is the one check.
+    It must find a PoC exactly where Path.is_file() does, read the path the
+    file column names, and warn only when it finds none."""
 
     def make(self, root: Path, case: str, monkeypatch) -> tuple[str, bool]:
         """Lay out PoC 1 for case under root; its file column, and whether
@@ -918,17 +934,6 @@ class TestPocListing:
                            "absolute")
         return files.get(case, "exploits/1.txt"), present
 
-    def outcome(self, root: Path, rel_file: str, caplog, poc_reads):
-        caplog.clear()
-        poc_reads.clear()
-        with caplog.at_level("WARNING", logger="vulnwp.corpus"):
-            index = write_index(root / "files_exploits.csv", [row(1, file=rel_file)])
-            corpus = load_corpus(index, root)
-            loaded = [r.getMessage() for r in caplog.records]
-            record = corpus.records[1]
-            header = record.poc_header
-        return corpus.warnings, loaded, header, list(poc_reads)
-
     @pytest.mark.parametrize(
         "case",
         ["regular", "link", "dangling link", "link loop", "directory",
@@ -937,50 +942,59 @@ class TestPocListing:
          "folder with x but not r", "trailing /", "..", ".. through a missing folder",
          "absolute", "other case"],
     )
-    def test_listing_agrees_with_the_check_of_each_path(self, tmp_path, case, caplog, poc_reads,
-                                                        monkeypatch):
+    def test_first_read_agrees_with_path_is_file(self, tmp_path, case, caplog, poc_reads,
+                                                 monkeypatch):
         rel_file, present = self.make(tmp_path, case, monkeypatch)
+        path = os.path.join(tmp_path, rel_file)
         try:
-            path = os.path.join(tmp_path, rel_file)
-            assert corpus_module._is_regular_file(path) is present
-            listed = self.outcome(tmp_path, rel_file, caplog, poc_reads)
-            # No PoC folder listable: each path is checked on its own.
-            apps = str(tmp_path / "apps")
-            with monkeypatch.context() as unlisted:
-                unlisted.setattr(os, "scandir", refuse_listing(os.scandir, lambda p: p != apps))
-                checked = self.outcome(tmp_path, rel_file, caplog, poc_reads)
+            assert Path(path).is_file() is present
+            index = write_index(tmp_path / "files_exploits.csv", [row(1, file=rel_file)])
+            record = load_corpus(index, tmp_path).records[1]
+            assert (caplog.records, poc_reads) == ([], [])
+            header = record.poc_header
         finally:
             (tmp_path / "exploits").chmod(0o700)
-        assert listed == checked
-        warnings, logged, header, reads = listed
+        logged = [r.getMessage() for r in caplog.records]
+        assert poc_reads == [path]
         if present:
-            assert (warnings, logged, header, reads) == ([], [], {"version": "1.0"}, [path])
+            assert (header, logged) == ({"version": "1.0"}, [])
         else:
-            assert warnings == [f"1: PoC file {rel_file} missing, record loaded without text"]
-            assert logged == [f"PoC file {rel_file} missing for exploit 1"]
-            assert (header, reads) == ({}, [])
+            assert (header, logged) == ({}, [read_as_empty(path)])
 
-    def test_folder_is_listed_once_and_names_it_lacks_are_checked_alone(
-        self, tmp_path, monkeypatch
-    ):
+    def test_load_touches_only_the_index_and_apps(self, tmp_path, monkeypatch):
         for edb_id in (1, 2, 3):
             write_poc(tmp_path, edb_id, f"# Version: {edb_id}.0\n")
         (tmp_path / "exploits" / "4.txt").mkdir()
-        listed, checked = [], []
-        scandir, is_regular_file = os.scandir, corpus_module._is_regular_file
-        monkeypatch.setattr(os, "scandir",
-                            lambda path: listed.append(os.fspath(path)) or scandir(path))
-        monkeypatch.setattr(corpus_module, "_is_regular_file",
-                            lambda path: checked.append(path) or is_regular_file(path))
+        (tmp_path / "3.txt").write_text("# Version: 3.0\n")
+        (tmp_path / "apps").mkdir()
+        (tmp_path / "apps" / "2.zip").write_bytes(b"PK")
         rows = [row(i) for i in (1, 2, 3, 4, 5)]
-        rows += [row(6, file="3.txt"), row(7, file="exploits/2.txt")]
-        corpus = load_corpus(write_index(tmp_path / "files_exploits.csv", rows), tmp_path)
-        assert listed == [os.path.join(tmp_path, "apps"), os.path.join(tmp_path, "exploits/"),
-                          os.path.join(tmp_path, "")]
-        assert checked == [os.path.join(tmp_path, "exploits", "4.txt"),
-                           os.path.join(tmp_path, "exploits", "5.txt"),
-                           os.path.join(tmp_path, "3.txt")]
-        assert [edb_id for edb_id, r in corpus.records.items() if r.poc_header] == [1, 2, 3, 7]
+        rows += [row(6, file="3.txt"), row(7, file="exploits/2.txt"),
+                 row(8, file="missing/8.txt")]
+        index = write_index(tmp_path / "files_exploits.csv", rows)
+        touched: list[tuple[str, str]] = []
+
+        def spy(name, call):
+            def spying(path, *args, **kwargs):
+                if not isinstance(path, int):
+                    touched.append((name, os.fspath(path)))
+                return call(path, *args, **kwargs)
+            return spying
+
+        with monkeypatch.context() as patched:
+            for module, name in [(os, "scandir"), (os, "listdir"), (os, "stat"), (os, "lstat"),
+                                 (os, "open"), (io, "open")]:
+                patched.setattr(module, name, spy(f"{module.__name__}.{name}",
+                                                  getattr(module, name)))
+            patched.setattr("builtins.open", io.open)
+            corpus = load_corpus(index, tmp_path)
+            assert {path for _, path in touched} == {str(index), str(tmp_path / "apps")}
+            # The spies do see a PoC read.
+            touched.clear()
+            assert corpus.records[1].poc_header == {"version": "1.0"}
+            assert touched == [("os.open", os.path.join(tmp_path, "exploits", "1.txt"))]
+        assert [r for r in corpus.records.values() if r.app_archive] == [corpus.records[2]]
+        assert [edb_id for edb_id, r in corpus.records.items() if r.poc_header] == [1, 2, 3, 6, 7]
 
 
 def refuse_listing(scandir, refused):
