@@ -22,7 +22,7 @@ from vulnwp.titles import ExploitCategory, parse_title
 
 from conftest import E2E_RECORDS, E2ETree
 from test_bootstrap import RecordingExecutor, ScriptedClient
-from test_corpus import poc_reads, refuse_reading  # noqa: F401  (poc_reads is a fixture)
+from test_corpus import poc_reads, refuse_listing, refuse_reading  # noqa: F401  (poc_reads is a fixture)
 
 _DEMO_DIR = Path(__file__).resolve().parent.parent / "data" / "demo"
 DEMO = E2ETree(corpus_dir=_DEMO_DIR / "corpus", fixtures_dir=_DEMO_DIR / "fixtures")
@@ -391,6 +391,20 @@ class TestBatchAndStats:
         assert captured.out == ""
         assert captured.err == f"error: index {index} is not UTF-8 text: invalid start byte\n"
         assert "Traceback" not in captured.err
+
+    def test_apps_that_cannot_be_listed_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        corpus = tmp_path / "corpus"
+        (corpus / "apps").mkdir(parents=True)
+        (corpus / "files_exploits.csv").write_text(
+            "id,file,description,date,author,type,platform,codes\n"
+            "1,x.txt,WordPress Core 4.7 - XSS,2017-01-01,a,webapps,php,\n",
+            encoding="utf-8",
+        )
+        apps = str(corpus / "apps")
+        monkeypatch.setattr(os, "scandir", refuse_listing(os.scandir, lambda p: p == apps))
+        code = main(["--corpus", str(corpus), "stats", os.devnull])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: [Errno 13] Permission denied: '{apps}'\n")
 
     @pytest.mark.parametrize(
         "name, text, complaint",

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vulnwp.corpus as corpus_module
-from vulnwp.corpus import POC_HEAD_LINES, ExploitRecord, load_corpus, parse_poc_header
+from vulnwp.corpus import POC_HEAD_LINES, ExploitRecord, load_corpus
 from vulnwp.errors import DuplicateIdError, IndexUnreadableError
 from vulnwp.versions import Version, VersionConstraint, extract_version_from_poc
 
@@ -89,6 +89,11 @@ def refuse_reading(monkeypatch, poc: str) -> None:
 def read_as_empty(path, edb_id: int = 1) -> str:
     """The warning the first read of a missing PoC logs."""
     return f"PoC file {path} for exploit {edb_id} is missing or not a regular file, read as empty"
+
+
+def loaded_header(root: Path, text: str) -> dict[str, str]:
+    """The poc_header of a one-row corpus under root whose PoC is text."""
+    return load_one(root, text).records[1].poc_header
 
 
 def load_one(root: Path, text: str | None = None, **overrides):
@@ -428,6 +433,16 @@ class TestAppArchives:
             (tmp_path / "apps" / name).write_bytes(b"PK")
         assert load_one(tmp_path).records[1].app_archive is None
 
+    def test_apps_that_cannot_be_listed_raises_its_oserror(self, tmp_path, monkeypatch):
+        # Root may list any folder, so the refusal is made here.
+        apps = tmp_path / "apps"
+        apps.mkdir()
+        monkeypatch.setattr(os, "scandir", refuse_listing(os.scandir, lambda p: p == str(apps)))
+        with pytest.raises(OSError) as excinfo:
+            load_one(tmp_path, "# Version: 1.0\n")
+        assert type(excinfo.value) is PermissionError
+        assert excinfo.value.filename == str(apps)
+
 
 # Reference index reader on csv.DictReader, which skips blank lines, fills
 # the columns a short row lacks with None and lets the last of duplicate
@@ -632,9 +647,17 @@ _version_texts = st.tuples(
 
 
 class TestHeaderScanMatchesReference:
-    @given(_poc_texts)
-    def test_parse_poc_header(self, text):
-        assert parse_poc_header(text) == reference_parse_poc_header(text)
+    @settings(deadline=None)
+    @given(st.lists(_poc_texts, min_size=1, max_size=4))
+    def test_loaded_headers(self, texts):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for edb_id, text in enumerate(texts, 1):
+                write_poc(root, edb_id, text)
+            rows = [row(edb_id) for edb_id in range(1, len(texts) + 1)]
+            corpus = load_corpus(write_index(root / "files_exploits.csv", rows), root)
+            headers = [record.poc_header for record in corpus]
+        assert headers == [reference_parse_poc_header(text) for text in texts]
 
     @settings(max_examples=60, deadline=None)
     @given(_poc_texts)
@@ -661,7 +684,9 @@ class TestHeaderScanMatchesReference:
 
 
 class TestPocHeader:
-    def test_typical_exploitdb_header(self):
+    """The header a loaded record parses from its PoC."""
+
+    def test_typical_exploitdb_header(self, tmp_path):
         text = (
             "# Exploit Title: WordPress Plugin Quiz Master 7.1.3 - SQL Injection\n"
             "# Date: 2018-06-12\n"
@@ -673,50 +698,50 @@ class TestPocHeader:
             "\n"
             "POST /wp-admin/admin-ajax.php HTTP/1.1\n"
         )
-        header = parse_poc_header(text)
+        header = loaded_header(tmp_path, text)
         assert header["exploit-title"].startswith("WordPress Plugin Quiz Master")
         assert header["version"] == "7.1.3"
         assert header["software-link"].endswith(".zip")
         assert header["tested-on"] == "Ubuntu 16.04"
 
-    def test_header_without_hash_prefix(self):
+    def test_header_without_hash_prefix(self, tmp_path):
         text = "Exploit Title: Something\nVersion: 2.4\n"
-        header = parse_poc_header(text)
+        header = loaded_header(tmp_path, text)
         assert header["exploit-title"] == "Something"
         assert header["version"] == "2.4"
 
-    def test_unrelated_code_lines_are_skipped(self):
+    def test_unrelated_code_lines_are_skipped(self, tmp_path):
         text = (
             "# Version: 7.1.3\n"
             "import requests\n"
             "target = 'http://localhost:8080/wp-login.php'\n"
             "payload = {'log': 'admin', 'pwd': 'x'}\n"
         )
-        assert parse_poc_header(text) == {"version": "7.1.3"}
+        assert loaded_header(tmp_path, text) == {"version": "7.1.3"}
 
-    def test_url_lines_do_not_become_keys(self):
+    def test_url_lines_do_not_become_keys(self, tmp_path):
         text = "https://example.test/path\n# Version: 1.0\n"
-        header = parse_poc_header(text)
+        header = loaded_header(tmp_path, text)
         assert header == {"version": "1.0"}
 
-    def test_first_occurrence_of_key_wins(self):
+    def test_first_occurrence_of_key_wins(self, tmp_path):
         text = "# Version: 1.0\n# version: 2.0\n"
-        assert parse_poc_header(text)["version"] == "1.0"
+        assert loaded_header(tmp_path, text)["version"] == "1.0"
 
-    def test_key_normalization_variants_collide(self):
-        assert parse_poc_header("# Software Link: a\n") == {"software-link": "a"}
-        assert parse_poc_header("#   software   link  : b\n") == {"software-link": "b"}
+    def test_key_normalization_variants_collide(self, tmp_path):
+        assert loaded_header(tmp_path, "# Software Link: a\n") == {"software-link": "a"}
+        assert loaded_header(tmp_path, "#   software   link  : b\n") == {"software-link": "b"}
 
-    def test_scan_stops_after_leading_block(self):
+    def test_scan_stops_after_leading_block(self, tmp_path):
         text = "\n" * 70 + "# Version: 9.9\n"
-        assert parse_poc_header(text) == {}
+        assert loaded_header(tmp_path, text) == {}
 
-    def test_render_parse_idempotent(self):
+    def test_render_parse_idempotent(self, tmp_path):
         header = {"exploit-title": "Some Title", "version": "1.2", "tested-on": "Debian 10"}
-        assert parse_poc_header("\n".join(f"# {k}: {v}" for k, v in header.items())) == header
+        assert loaded_header(tmp_path, "\n".join(f"# {k}: {v}" for k, v in header.items())) == header
 
-    def test_empty_text_gives_empty_header(self):
-        assert parse_poc_header("") == {}
+    def test_empty_text_gives_empty_header(self, tmp_path):
+        assert loaded_header(tmp_path, "") == {}
 
 
 class TestPocReadAtFirstUse:
@@ -748,10 +773,10 @@ class TestPocReadAtFirstUse:
             tmp_path, text, description=title, author="test-author", date="2017-06-01"
         ).records[1]
         kept = text if not text.isascii() or "version" in text.lower() else ""
-        built = make_record(edb_id=1, title=title, poc_text=kept, header=parse_poc_header(text))
+        built = make_record(edb_id=1, title=title, poc_text=kept, header=reference_parse_poc_header(text))
         assert repr(loaded) == repr(built)
         assert loaded == built and built == loaded
-        assert [loaded.poc_text, loaded.poc_header] == [kept, parse_poc_header(text)]
+        assert [loaded.poc_text, loaded.poc_header] == [kept, reference_parse_poc_header(text)]
 
     @pytest.mark.parametrize("change", ["deleted", "directory"])
     def test_poc_gone_after_load_reads_as_empty_and_logs(self, tmp_path, caplog, change):
@@ -865,7 +890,7 @@ class TestLoadedRecordsMatchConstructedOnes:
             platform="php",
             cve_ids=("CVE-2019-9978",) if edb_id % 2 else (),
             poc_text=text if not text.isascii() or "version" in text.lower() else "",
-            poc_header=parse_poc_header(text),
+            poc_header=reference_parse_poc_header(text),
             app_archive=root / "apps" / "4.zip" if edb_id == 4 else None,
         )
 
@@ -1008,6 +1033,37 @@ def refuse_listing(scandir, refused):
         return scandir(path)
 
     return refusing_scandir
+
+
+def test_loaded_records_share_attribute_names(tmp_path):
+    """Each loaded record's dict shares its table of attribute names with the
+    other records, before and after its PoC is read, so it is smaller than a
+    copy of itself. Run in a fresh interpreter that builds and drops one
+    record with the constructor first, whose attribute order differs from
+    the loader's."""
+    TestLoadedRecordsMatchConstructedOnes().load(tmp_path)
+    script = (
+        "import logging, sys\n"
+        "from datetime import date\n"
+        "from vulnwp.corpus import ExploitRecord, load_corpus\n"
+        "logging.disable()\n"
+        "ExploitRecord(0, '', '', '', date(2000, 1, 1), '', (), '', {})\n"
+        "records = list(load_corpus(sys.argv[1], sys.argv[2]))\n"
+        "def unshared():\n"
+        "    return [r.edb_id for r in records\n"
+        "            if not sys.getsizeof(vars(r)) < sys.getsizeof(dict(vars(r)))]\n"
+        "before = unshared()\n"
+        "for record in records:\n"
+        "    record.poc_text\n"
+        "print(len(records), before, unshared())\n"
+    )
+    source = os.path.dirname(os.path.dirname(corpus_module.__file__))
+    environment = dict(os.environ, PYTHONPATH=source)
+    index = tmp_path / "files_exploits.csv"
+    result = subprocess.run([sys.executable, "-c", script, str(index), str(tmp_path)],
+                            env=environment, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "4 [] []\n"
 
 
 @pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info < (3, 11),
