@@ -116,8 +116,11 @@ class GenerationOutcome:
     object.__setattr__ calls of the frozen initializer. Such an instance is
     equal, hashes and prints as one the constructor builds, and refuses
     assignment the same way, but on Python 3.11 it carries its own dict
-    (about 64 B more). So only the reader, whose rows live as long as a
-    report takes, uses it; the pipeline calls the constructor.
+    (about 64 B more). The pipeline keeps the constructor: failure outcomes
+    built through _filled made the benchmark's triage stats_s worse in all
+    4 pairs run (+5 to +8 %), probably because a dict per outcome makes
+    the row writer's attribute reads and the collector's passes dearer
+    (not isolated).
     """
 
     edb_id: int
@@ -249,6 +252,17 @@ class Resolution:
     unused_app_archive: str | None = None
 
 
+# Resolutions are frozen, so every stop that names no unused archive
+# returns its reason's one shared instance.
+_STOPS = {reason: Resolution(reason) for reason in FailureReason}
+
+
+def _stop(reason: FailureReason, unused_app_archive: str | None = None) -> Resolution:
+    if unused_app_archive is None:
+        return _STOPS[reason]
+    return Resolution(reason, unused_app_archive=unused_app_archive)
+
+
 def resolve(record: ExploitRecord, services: PipelineServices) -> Resolution:
     """Decide what a record's environment needs, or why it stops, calling
     only the registry and CPE clients; nothing is written or fetched.
@@ -260,7 +274,7 @@ def resolve(record: ExploitRecord, services: PipelineServices) -> Resolution:
     """
     parsed = parse_title(record.title)
     if parsed.category is ExploitCategory.UNCATEGORIZED:
-        return Resolution(FailureReason.UNPARSABLE_TITLE)
+        return _stop(FailureReason.UNPARSABLE_TITLE)
     kind = _CATEGORY_TO_KIND.get(parsed.category)  # None for core
 
     constraint = resolve_constraint(record, parsed, services.cpe)
@@ -271,20 +285,20 @@ def resolve(record: ExploitRecord, services: PipelineServices) -> Resolution:
 
     if constraint is None and (kind is None or not has_archive):
         reason = FailureReason.UNKNOWN_VERSION if kind is None else FailureReason.NO_VULNERABLE_APPLICATION
-        return Resolution(reason, unused_app_archive=unused)
+        return _stop(reason, unused)
     try:
         image = (find_core_image(constraint, services.registry) if kind is None
                  else find_latest_image(services.registry))
     except NoImageError as exc:
         logger.info("no image for exploit %s: %s", record.edb_id, exc)
-        return Resolution(FailureReason.NO_IMAGE, unused_app_archive=unused)
+        return _stop(FailureReason.NO_IMAGE, unused)
     if kind is None:
         return Resolution(image=image, unused_app_archive=unused)
 
     try:
         slug = derive_slug(parsed.product or "")
     except EmptySlugError:
-        return Resolution(FailureReason.NO_VULNERABLE_APPLICATION)
+        return _stop(FailureReason.NO_VULNERABLE_APPLICATION)
     trunk = constraint is None or constraint.kind is ConstraintKind.UPPER_BOUND_EXCLUSIVE
     return Resolution(image=image, kind=kind, slug=slug, version=None if trunk else max(constraint.versions))
 

@@ -13,16 +13,21 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .errors import UnparsableVersionError
-from .versions import parse_version_expr
+from .versions import DOTTED_NUMERIC
 
 if TYPE_CHECKING:
     from .corpus import Corpus
 
 __all__ = ["ExploitCategory", "ParsedTitle", "parse_title", "classify_corpus"]
 
-_SEPARATOR = " - "
+_SEPARATOR = re.compile(" - ")
 _PREFIX = "wordpress"
+# A target's version: all from the leftmost token at which the rest of the
+# target is "< v", "<= v" or a "/" separated set. As tokens are one space
+# apart, that is the longest token suffix parse_version_expr accepts.
+_VERSION_SUFFIX = re.compile(
+    r"(?:^| )((?:<=|<) ?{v}|{v}(?: ?/ ?{v})*)\Z".format(v=DOTTED_NUMERIC.pattern)
+)
 
 
 class ExploitCategory(Enum):
@@ -52,58 +57,39 @@ class ParsedTitle:
 _UNCATEGORIZED = ParsedTitle(category=ExploitCategory.UNCATEGORIZED)
 
 
-def _version_suffix_split(tokens: list[str]) -> tuple[list[str], str | None]:
-    """Split tokens into (product tokens, version expression).
+def _parse_target(text: str, attack_type: str) -> ParsedTitle | None:
+    """Parse the part between "WordPress" and the attack separator, whose
+    tokens are separated by single spaces."""
+    first, _, remainder = text.partition(" ")
+    keyword = _KEYWORDS.get(first.lower())
+    if keyword is not None:
+        text = remainder
 
-    The version expression is anchored at the end: the longest token
-    suffix that parses under the version grammar wins, so "Gallery 2 3.06"
-    yields product "Gallery 2" and version "3.06" while "< 4.7.1" is
-    consumed whole.
-    """
-    for start in range(len(tokens)):
-        candidate = " ".join(tokens[start:])
-        try:
-            parse_version_expr(candidate)
-        except UnparsableVersionError:
-            continue
-        return tokens[:start], candidate
-    return tokens, None
+    hit = _VERSION_SUFFIX.search(text)
+    if hit is None:
+        product, version_expr = text or None, None
+    else:
+        product, version_expr = text[: hit.start()] or None, hit.group(1)
 
-
-def _parse_target(text: str) -> ParsedTitle | None:
-    """Parse the part between "WordPress" and the attack separator."""
-    tokens = [t for t in text.split(" ") if t]
-    keyword: ExploitCategory | None = None
-    if tokens and tokens[0].lower() in _KEYWORDS:
-        keyword = _KEYWORDS[tokens[0].lower()]
-        tokens = tokens[1:]
-
-    product_tokens, version_expr = _version_suffix_split(tokens)
-    product = " ".join(product_tokens) if product_tokens else None
-
-    if keyword is ExploitCategory.CORE:
-        if product is not None:
+    if keyword is ExploitCategory.CORE or keyword is None:
+        # Without a keyword only a bare version expression right after the
+        # prefix still reads as the core ("WordPress 4.7.0/4.7.1 - ...").
+        if product is not None or (keyword is None and version_expr is None):
             return None
-        return ParsedTitle(ExploitCategory.CORE, None, version_expr)
-    if keyword in (ExploitCategory.PLUGIN, ExploitCategory.THEME):
-        if product is None:
-            return None
-        return ParsedTitle(keyword, product, version_expr)
-    # No keyword: only a bare version expression right after the prefix
-    # still reads as the core ("WordPress 4.7.0/4.7.1 - ...").
-    if product is None and version_expr is not None:
-        return ParsedTitle(ExploitCategory.CORE, None, version_expr)
-    return None
+        return ParsedTitle(ExploitCategory.CORE, None, version_expr, attack_type)
+    if product is None:
+        return None
+    return ParsedTitle(keyword, product, version_expr, attack_type)
 
 
 def _after_prefix(title: str) -> str | None:
     """The title, inner whitespace collapsed, past its leading "WordPress"
     (in any case), or None unless that prefix is followed by a space or
     nothing."""
-    text = " ".join(title.split())
-    if text[: len(_PREFIX)].lower() != _PREFIX:
+    # The prefix holds no whitespace, so its test needs no collapsed text.
+    if title.lstrip()[: len(_PREFIX)].lower() != _PREFIX:
         return None
-    rest = text[len(_PREFIX):]
+    rest = " ".join(title.split())[len(_PREFIX):]
     return None if rest and not rest.startswith(" ") else rest
 
 
@@ -111,11 +97,13 @@ def parse_title(title: str) -> ParsedTitle:
     """Parse one exploit title.
 
     Matching is case insensitive and inner whitespace is collapsed first.
-    When several " - " separators occur the candidate splits are tried
-    right to left (the product capture is greedy); a split whose tail
-    parses as a version expression is preferred over a versionless one, so
-    hyphenated product names survive without swallowing the attack type.
-    Returns category Uncategorized for anything outside the pattern.
+    A target's version is its longest run of trailing tokens that is a
+    version expression ("Gallery 2 3.06" is product "Gallery 2" and version
+    "3.06"; "< 4.7.1" is taken whole). With several " - " separators the
+    splits are tried right to left: the first whose target has a version
+    wins, else the rightmost versionless one, so hyphenated product names
+    survive without swallowing the attack type. Returns category
+    Uncategorized for anything outside the pattern.
     """
     rest = _after_prefix(title)
     if rest is None:
@@ -123,15 +111,13 @@ def parse_title(title: str) -> ParsedTitle:
     rest = rest.strip()
 
     best_versionless: ParsedTitle | None = None
-    for match in reversed(list(re.finditer(re.escape(_SEPARATOR), rest))):
-        target_text = rest[: match.start()]
+    for match in reversed(list(_SEPARATOR.finditer(rest))):
         attack_type = rest[match.end():].strip()
         if not attack_type:
             continue
-        target = _parse_target(target_text)
-        if target is None:
+        parsed = _parse_target(rest[: match.start()], attack_type)
+        if parsed is None:
             continue
-        parsed = ParsedTitle(target.category, target.product, target.version_expr, attack_type)
         if parsed.version_expr is not None:
             return parsed
         if best_versionless is None:

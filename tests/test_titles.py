@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import itertools
 import json
+import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vulnwp.corpus import Corpus
+from vulnwp.errors import UnparsableVersionError
 from vulnwp.titles import ExploitCategory, ParsedTitle, classify_corpus, parse_title
+from vulnwp.versions import parse_version_expr
 
 from conftest import make_record
 
@@ -173,6 +177,119 @@ def test_render_parse_round_trip_for_core(version_expr, attack):
         category=ExploitCategory.CORE, product=None, version_expr=version_expr, attack_type=attack
     )
     assert parse_title(render_title(parsed)) == parsed
+
+
+REFERENCE_KEYWORDS = {
+    "core": ExploitCategory.CORE,
+    "plugin": ExploitCategory.PLUGIN,
+    "theme": ExploitCategory.THEME,
+}
+
+
+def reference_version_suffix_split(tokens: list[str]) -> tuple[list[str], str | None]:
+    """The longest token suffix parse_version_expr accepts, tried left to right."""
+    for start in range(len(tokens)):
+        candidate = " ".join(tokens[start:])
+        try:
+            parse_version_expr(candidate)
+        except UnparsableVersionError:
+            continue
+        return tokens[:start], candidate
+    return tokens, None
+
+
+def reference_parse_target(text: str) -> ParsedTitle | None:
+    tokens = [t for t in text.split(" ") if t]
+    keyword: ExploitCategory | None = None
+    if tokens and tokens[0].lower() in REFERENCE_KEYWORDS:
+        keyword = REFERENCE_KEYWORDS[tokens[0].lower()]
+        tokens = tokens[1:]
+
+    product_tokens, version_expr = reference_version_suffix_split(tokens)
+    product = " ".join(product_tokens) if product_tokens else None
+
+    if keyword is ExploitCategory.CORE:
+        if product is not None:
+            return None
+        return ParsedTitle(ExploitCategory.CORE, None, version_expr)
+    if keyword in (ExploitCategory.PLUGIN, ExploitCategory.THEME):
+        if product is None:
+            return None
+        return ParsedTitle(keyword, product, version_expr)
+    if product is None and version_expr is not None:
+        return ParsedTitle(ExploitCategory.CORE, None, version_expr)
+    return None
+
+
+def reference_parse_title(title: str) -> ParsedTitle:
+    """parse_title as it read before its version search became one compiled
+    pattern: every token suffix of a target goes through parse_version_expr."""
+    uncategorized = ParsedTitle(ExploitCategory.UNCATEGORIZED)
+    text = " ".join(title.split())
+    if text[:9].lower() != "wordpress":
+        return uncategorized
+    rest = text[9:]
+    if rest and not rest.startswith(" "):
+        return uncategorized
+    rest = rest.strip()
+
+    best_versionless: ParsedTitle | None = None
+    for match in reversed(list(re.finditer(re.escape(" - "), rest))):
+        attack_type = rest[match.end():].strip()
+        if not attack_type:
+            continue
+        target = reference_parse_target(rest[: match.start()])
+        if target is None:
+            continue
+        parsed = ParsedTitle(target.category, target.product, target.version_expr, attack_type)
+        if parsed.version_expr is not None:
+            return parsed
+        if best_versionless is None:
+            best_versionless = parsed
+    return best_versionless or uncategorized
+
+
+# Tokens at the edges of the keyword test (a case-insensitive pattern would
+# read a dotted capital I or a dotless i as "plugin"; str.lower does not),
+# of the separator and of the version grammar, joined by nothing or by
+# whitespace that str.split breaks on, a plain space most often. A title
+# is a prefix, a keyword, words, version tokens, a separator and more words.
+FUZZ_KEYWORDS = ["", "Plugin", "Theme", "Core", "PLUGİN", "plugın", "WordPressX"]
+FUZZ_WORDS = ["Gallery", "2", " - ", " -- ", "-"]
+FUZZ_VERSIONS = ["4.7", "/", "<", "<=", "<4.7", "4.7.0/4.7.1", "1.0/", "/2.0", "4.x", "1..2", "٣.١"]
+FUZZ_GAPS = ["", " ", " ", "  ", "\t", "\xa0", "\u2003"]
+
+
+def fuzzed_run(tokens: list[str], max_size: int) -> st.SearchStrategy[str]:
+    pairs = st.lists(st.tuples(st.sampled_from(FUZZ_GAPS), st.sampled_from(tokens)), max_size=max_size)
+    return pairs.map(lambda drawn: "".join(gap + token for gap, token in drawn))
+
+
+fuzzed_titles = st.tuples(
+    st.sampled_from(["WordPress", "wordpress", " WordPress\t", "WordPressX", ""]),
+    fuzzed_run(FUZZ_KEYWORDS, 1),
+    fuzzed_run(FUZZ_WORDS, 3),
+    fuzzed_run(FUZZ_VERSIONS, 5),
+    st.sampled_from([" - ", " -- ", "-"]),
+    st.just("XSS"),
+    fuzzed_run(FUZZ_WORDS, 3),
+).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(fuzzed_titles)
+def test_parse_title_matches_reference(title):
+    assert parse_title(title) == reference_parse_title(title)
+
+
+@pytest.mark.parametrize("target", ["", "Core", "Plugin Gallery"])
+def test_parse_title_matches_reference_on_every_short_version_run(target):
+    for count in range(1, 4):
+        for tokens in itertools.product(FUZZ_VERSIONS, repeat=count):
+            for gaps in itertools.product(["", " "], repeat=count - 1):
+                run = tokens[0] + "".join(gap + token for gap, token in zip(gaps, tokens[1:]))
+                title = f"WordPress {target} {run} - XSS"
+                assert parse_title(title) == reference_parse_title(title), title
 
 
 class TestClassifyCorpus:

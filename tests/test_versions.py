@@ -246,6 +246,15 @@ class TestPocExtraction:
         )
         assert extract_version_from_poc(record) == VersionConstraint.exact(ver("4.4"))
 
+    def test_body_hint_outside_the_grammar_moves_to_the_next_line(self):
+        # A bound over a set matches the scan's pattern, not the grammar.
+        record = make_record(poc_text="Version: < 4.7/4.8\nVersion: 2.0\n")
+        assert extract_version_from_poc(record) == VersionConstraint.exact(ver("2.0"))
+
+    def test_body_scan_tries_only_a_lines_first_hint(self):
+        record = make_record(poc_text="Version: < 4.7/4.8 version 3.0\n")
+        assert extract_version_from_poc(record) is None
+
 
 class TestCpeDictionary:
     def test_parse_cpe_extracts_product_version(self):
